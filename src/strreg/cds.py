@@ -11,16 +11,29 @@ the pivot layout -- so it is skipped.
 A failed comparison moves on to the next shorter candidate rather than giving
 up; candidates shrink strictly along the walk, so the first confirmed one is
 the longest border.
+
+Comparisons cost up to the candidate's length each, and on periodic text
+with a defect the walk confirms a long run of failing candidates. Each query
+therefore has a budget of ``_BUDGET_PER_BYTE * m`` bytes compared, shared
+along the border chain; a query that would overspend it is answered by the
+classical border array instead, which bounds every query by a constant
+factor of the classical route.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple
 
-from .classical import BorderChain, border_array, is_covering
+# is_covering is not called here; it stays a name of this module because the
+# traced benchmark (querybench/tracing.py) looks it up here.
+from .classical import BorderChain, border_array, border_chain, covers, period_classical
+from .classical import is_covering  # noqa: F401
 from .sampling import CdsView
 from .text import Text
+
+# Bytes a query may compare in character checks, per byte of text.
+_BUDGET_PER_BYTE = 4
 
 
 class CdsBorderResult(NamedTuple):
@@ -34,54 +47,63 @@ def _is_binary(x: Text) -> bool:
     # Cheap reject first: three distinct bytes in any window settle it.
     if len(set(x[:4096])) > 2:
         return False
-    return len(set(x)) <= 2
+    # Delete the first two distinct bytes; anything left is a third symbol.
+    return not x.translate(None, x[:1] + x.lstrip(x[:1])[:1])
 
 
 def _borders_match(x: Text, n: int, b: int) -> bool:
-    """Character-level check that x[:n] has a border of length b."""
-    return x[:b] == x[n - b : n]
+    """Character-level check that x[:n] has a border of length b, copying nothing."""
+    return x.startswith(memoryview(x)[n - b : n])
 
 
 def _longest_border(
     x: Text,
+    positions: list[int],
     distances: list[int],
-    prefix_sums: list[int],
-    dist_border: list[int] | None,
+    dist_border: list[int],
     n: int,
     t: int,
     k: int,
     check_chars: bool,
-) -> CdsBorderResult:
+    budget: int,
+) -> tuple[CdsBorderResult, int] | None:
     """Longest border of x[:n], whose view holds t pivots and tail gap k.
 
-    ``distances``, ``prefix_sums`` and ``dist_border`` belong to the full
+    ``positions``, ``distances`` and ``dist_border`` belong to the full
     text; entries up to index t-1 are exactly those of the prefix, so the
-    arrays are shared across prefix subjects.
+    arrays are shared across prefix subjects. A character check of a
+    length-b candidate spends b bytes of ``budget``. Returns the border and
+    the budget left, or None when the next check would overspend it.
     """
     m_bar = t - 1
     if m_bar < 1:
         # A border would repeat the pivot somewhere past position 0.
-        return CdsBorderResult(0, -1)
-    assert dist_border is not None
+        return CdsBorderResult(0, -1), budget
     i = dist_border[m_bar]
     while i >= 0:
         if distances[i] <= k:
             # The prefix copy of the border would contain one pivot too many.
             i = dist_border[i]
             continue
-        b = n - prefix_sums[m_bar - i - 1]
+        b = n - positions[m_bar - i]
         assert 0 < b < n
-        if not check_chars or _borders_match(x, n, b):
-            return CdsBorderResult(b, i)
-        i = dist_border[i]
-    return CdsBorderResult(0, -1)
+        if check_chars:
+            if b > budget:
+                return None
+            budget -= b
+            if not _borders_match(x, n, b):
+                i = dist_border[i]
+                continue
+        return CdsBorderResult(b, i), budget
+    return CdsBorderResult(0, -1), budget
 
 
 def _require_match(v: CdsView, x: Text) -> None:
-    if v.m != len(x):
-        raise ValueError(f"view was built for length {v.m}, text has length {len(x)}")
-    if x and v.pivot != x[0]:
-        raise ValueError("view pivot does not match the text's first byte")
+    # The caller normally passes the very object the view was built from.
+    if x is not v.text and x != v.text:
+        raise ValueError(
+            f"view was built for another text (length {v.m}, given length {len(x)})"
+        )
 
 
 def border_cds(v: CdsView, x: Text, check_chars: bool | None = None) -> CdsBorderResult:
@@ -89,7 +111,8 @@ def border_cds(v: CdsView, x: Text, check_chars: bool | None = None) -> CdsBorde
 
     With ``check_chars=None`` candidates are verified character-wise unless
     the text is binary; pass True or False to force either mode (forcing
-    False is only sound on binary texts).
+    False is only sound on binary texts). A walk that runs out of budget is
+    answered from the classical border array, with the same result.
     """
     _require_match(v, x)
     if v.m_bar < 1:
@@ -97,9 +120,18 @@ def border_cds(v: CdsView, x: Text, check_chars: bool | None = None) -> CdsBorde
     if check_chars is None:
         check_chars = not _is_binary(x)
     dist_border = border_array(v.distances)
-    return _longest_border(
-        x, v.distances, v.prefix_sums, dist_border, v.m, len(v.positions), v.k, check_chars
+    found = _longest_border(
+        x, v.positions, v.distances, dist_border, v.m, len(v.positions), v.k,
+        check_chars, _BUDGET_PER_BYTE * v.m,
     )
+    # Released before the fallback builds the text's own border array.
+    del dist_border
+    if found is None:
+        b = v.m - period_classical(x)
+        # The suffix copy of a border starts at pivot index m_bar - i_bar. With
+        # no border the search runs past the last pivot, which gives -1.
+        return CdsBorderResult(b, v.m_bar - bisect_left(v.positions, v.m - b))
+    return found[0]
 
 
 def period_cds(v: CdsView, x: Text) -> int:
@@ -115,18 +147,26 @@ def borders_cds(v: CdsView, x: Text) -> BorderChain:
     longest border of the current prefix subject, applies the periodicity
     reduction when it exceeds half the subject, and recurses into that
     prefix. The view of each shorter prefix is obtained by locating the cut
-    in the cumulative sums, not by resampling.
+    in the pivot positions, not by resampling. One budget covers the whole
+    chain; when it runs out the chain comes from the classical route.
     """
     _require_match(v, x)
-    positions, distances, prefix_sums = v.positions, v.distances, v.prefix_sums
-    dist_border = border_array(distances) if distances else None
+    positions, distances = v.positions, v.distances
+    if not distances:
+        return []
+    dist_border = border_array(distances)
     check_chars = not _is_binary(x)
+    budget = _BUDGET_PER_BYTE * v.m
     chain: BorderChain = []
     n = v.m
     t = len(positions)
     while t > 1:
         k = n - 1 - positions[t - 1]
-        b = _longest_border(x, distances, prefix_sums, dist_border, n, t, k, check_chars).b
+        found = _longest_border(x, positions, distances, dist_border, n, t, k, check_chars, budget)
+        if found is None:
+            del dist_border  # as in border_cds
+            return border_chain(x)
+        (b, _), budget = found
         if b == 0:
             break
         if 2 * b > n:
@@ -162,11 +202,10 @@ def shortest_cover_cds(v: CdsView, x: Text) -> int:
     """Length of the shortest cover of ``x``, from the sampled view.
 
     Candidates are the chain borders ascending, then the text itself; each is
-    tested against the full text with the occurrence gap criterion.
+    tested against the full text with :func:`strreg.classical.covers`.
     """
     _require_match(v, x)
-    m = v.m
     for b in reversed(borders_cds(v, x)):
-        if is_covering(occurrences_via_cds(v, x, b), b, m):
+        if covers(x, b):
             return b
-    return m
+    return v.m

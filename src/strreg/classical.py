@@ -90,6 +90,28 @@ def is_covering(occ: Sequence[int], b: int, m: int) -> bool:
     return all(occ[j + 1] - occ[j] <= b for j in range(len(occ) - 1))
 
 
+def covers(x: Text, b: int) -> bool:
+    """Whether the length-``b`` prefix of ``x`` covers ``x``.
+
+    Same answer as ``is_covering(occurrences(x[:b], x), b, len(x))``, in one
+    forward pass: each step is one ``bytes.find`` for the next occurrence no
+    more than ``b`` past the last one, and the first step that finds none
+    settles it. The search runs forward on purpose: CPython's reverse search
+    has no Two-Way fallback and is far slower on periodic text.
+    """
+    m = len(x)
+    if not 1 <= b <= m:
+        raise ValueError(f"covers: b must lie in [1, {m}], got {b}")
+    prefix = x[:b]
+    find = x.find
+    last, end = 0, m - b
+    while last < end:
+        last = find(prefix, last + 1, last + 2 * b)
+        if last < 0:
+            return False
+    return True
+
+
 def border_chain(x: Text) -> BorderChain:
     """Decreasing non-periodic border lengths of ``x``.
 
@@ -118,15 +140,14 @@ def shortest_cover_classical(x: Text) -> int:
     """Length of the shortest cover of ``x``; equals len(x) iff superprimitive.
 
     Candidates are the chain borders in ascending order; each is tested
-    against the full text with the occurrence gap criterion.
+    against the full text with :func:`covers`.
     """
     if not x:
         raise EmptyInputError("shortest_cover_classical: empty text")
-    m = len(x)
     for b in reversed(border_chain(x)):
-        if is_covering(occurrences(x[:b], x), b, m):
+        if covers(x, b):
             return b
-    return m
+    return len(x)
 
 
 def naive_shortest_cover(x: Text) -> int:

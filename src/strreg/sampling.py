@@ -1,16 +1,21 @@
 """Pivot-distance sampling of a text.
 
 The first byte of the text is the pivot. A view records where the pivot
-occurs, the gaps between consecutive occurrences, the length of the
-pivot-free tail, and cumulative gap sums for constant-time range arithmetic.
+occurs, the gaps between consecutive occurrences and the length of the
+pivot-free tail. Positions double as the cumulative gap sums, since the
+first occurrence sits at 0.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 
 from .text import EmptyInputError, Text
+
+# Bytes of text split at a time by build_cds.
+_SPLIT_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -18,10 +23,10 @@ class CdsView:
     """Distance-sampled view of a text of length ``m``.
 
     ``positions`` lists the pivot occurrence positions (ascending, first is
-    always 0), ``distances`` the gaps between consecutive occurrences, ``k``
-    the length of the longest pivot-free suffix, and ``prefix_sums[i]`` the
-    sum of ``distances[:i+1]`` -- which equals ``positions[i+1]`` because the
-    first occurrence sits at 0.
+    always 0), ``distances`` the gaps between consecutive occurrences, and
+    ``k`` the length of the longest pivot-free suffix. ``positions[i+1]`` is
+    the sum of ``distances[:i+1]``. ``text`` is the text the view was built
+    from; the queries refuse a text that differs from it.
 
     Contents are never mutated after construction; views are safe to share.
     """
@@ -30,8 +35,8 @@ class CdsView:
     positions: list[int]
     distances: list[int]
     k: int
-    prefix_sums: list[int]
     m: int
+    text: Text = field(repr=False)
 
     @property
     def m_bar(self) -> int:
@@ -42,26 +47,30 @@ class CdsView:
 def build_cds(x: Text) -> CdsView:
     """Sample ``x`` with its first byte as the pivot.
 
-    One left-to-right scan; a text whose pivot never reoccurs yields a legal
-    view with empty ``distances``.
+    Splitting ``x[1:]`` on the pivot, a chunk at a time, gives the
+    pivot-free runs: each run but the last is one gap less one, the last is
+    the tail. A text whose pivot never reoccurs yields a legal view with
+    empty ``distances``.
     """
     if not x:
         raise EmptyInputError("build_cds: empty text")
-    needle = x[:1]
-    positions = []
-    pos = 0
-    while pos != -1:
-        positions.append(pos)
-        pos = x.find(needle, pos + 1)
-    prefix_sums = positions[1:]
-    distances = [positions[j + 1] - positions[j] for j in range(len(positions) - 1)]
+    pivot = x[:1]
+    distances: list[int] = []
+    # Chunks keep the split pieces few and in cache. A run that crosses a
+    # chunk boundary is carried over in ``run``, which ends as the tail.
+    run = 0
+    for start in range(1, len(x), _SPLIT_CHUNK):
+        runs = list(map(len, x[start : start + _SPLIT_CHUNK].split(pivot)))
+        runs[0] += run
+        run = runs.pop()
+        distances += [r + 1 for r in runs]
     return CdsView(
         pivot=x[0],
-        positions=positions,
+        positions=list(accumulate(distances, initial=0)),
         distances=distances,
-        k=len(x) - 1 - positions[-1],
-        prefix_sums=prefix_sums,
+        k=run,
         m=len(x),
+        text=x,
     )
 
 

@@ -72,7 +72,7 @@ class TestBorderCds:
         v = build_cds(x)
         b, i_bar = border_cds(v, x)
         if b > 0:
-            assert b == v.m - v.prefix_sums[v.m_bar - i_bar - 1]
+            assert b == v.m - v.positions[v.m_bar - i_bar]
             assert x[:b] == x[v.m - b :]
 
     @given(binary_texts)
@@ -108,6 +108,13 @@ class TestBorderCds:
         v = build_cds(b"abaa")
         with pytest.raises(ValueError):
             border_cds(v, b"baaa")
+
+    def test_view_of_another_text_rejected(self):
+        # Same length and pivot: only the text itself tells them apart.
+        v = build_cds(b"abab")
+        with pytest.raises(ValueError):
+            period_cds(v, b"aaaa")
+        assert period_cds(v, b"".join([b"ab", b"ab"])) == 2
 
 
 class TestPeriodCds:

@@ -1,12 +1,14 @@
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from strreg import sampling
 from strreg.classical import border_array
 from strreg.sampling import build_cds, reconstruct_binary, sampling_stats
-from strreg.text import EmptyInputError
+from strreg.text import EmptyInputError, GenSpec, gen_text
 
 texts = st.binary(min_size=1, max_size=96)
 binary_texts = st.text(alphabet="ab", min_size=1, max_size=96).map(str.encode)
@@ -54,8 +56,31 @@ class TestBuildCds:
         assert all(d >= 1 for d in v.distances)
         assert v.k == len(x) - 1 - v.positions[-1]
         assert x[v.positions[-1] + 1 :].count(v.pivot) == 0
-        assert v.prefix_sums == v.positions[1:]
+        assert v.positions == list(accumulate(v.distances, initial=0))
         assert v.m == len(x)
+
+
+class TestChunkedSplit:
+    # build_cds splits the text a chunk at a time; runs that cross a chunk
+    # boundary must come out whole.
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    @given(st.text(alphabet="abc", min_size=1, max_size=64).map(str.encode))
+    def test_any_chunk_size_matches_definition(self, chunk, x):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampling, "_SPLIT_CHUNK", chunk)
+            v = build_cds(x)
+        assert v.positions == [i for i, c in enumerate(x) if c == x[0]]
+        assert v.distances == [b - a for a, b in zip(v.positions, v.positions[1:])]
+        assert v.k == len(x) - 1 - v.positions[-1]
+
+    def test_text_longer_than_several_chunks(self):
+        # The run of b's spans a whole chunk.
+        x = b"a" + b"b" * (sampling._SPLIT_CHUNK + 2) + gen_text(
+            GenSpec(3, 3 * sampling._SPLIT_CHUNK + 5, seed=11)
+        )
+        v = build_cds(x)
+        assert v.positions == [i for i, c in enumerate(x) if c == x[0]]
+        assert v.k == len(x) - 1 - v.positions[-1]
 
 
 class TestSamplingStats:
