@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 from .cds import period_cds, shortest_cover_cds
 from .classical import period_classical, shortest_cover_classical
-from .sampling import build_cds
+from .sampling import build_cds, sampling_stats
 from .text import Text
 
 TASKS = ("period", "cover")
@@ -134,7 +134,8 @@ def run_bench(
     for size in sizes:
         text = data[:size]
         view = build_cds(text)
-        sampling.append(SamplingFigure(size=size, ratio=round(view.m_bar / size, 4)))
+        ratio = round(float(sampling_stats(view).ratio), 4)
+        sampling.append(SamplingFigure(size=size, ratio=ratio))
         for task in tasks:
             t_classical = _stats(_time_runs(lambda: _run_task(task, text), runs))
             t_cds = _stats(_time_runs(lambda: _run_task(task, text, build_cds(text)), runs))

@@ -1,38 +1,42 @@
 """Regularity queries answered from the distance-sampled view.
 
-The central routine walks the border chain of the distance sequence from
-longest to shortest. Each surviving index yields one candidate border of the
-text; a candidate whose distance entry does not clear the pivot-free tail is
-skipped outright (a pivot would intrude where the suffix has none), and the
-rest are confirmed with a direct prefix/suffix comparison. On a binary
-alphabet the comparison is redundant -- two symbols leave no freedom outside
-the pivot layout -- so it is skipped.
+One routine, :func:`_walker`, answers every border query: the longest border
+of a prefix ``x[:n]``. It walks the border chain of the prefix's distance
+sequence from longest to shortest. Each surviving index yields one candidate
+border of the text; a candidate whose distance entry does not clear the
+pivot-free tail is skipped outright (a pivot would intrude where the suffix
+has none), and the rest are confirmed with a direct prefix/suffix
+comparison. On a binary alphabet the comparison is redundant -- two symbols
+leave no freedom outside the pivot layout -- so it is skipped.
 
 A failed comparison moves on to the next shorter candidate rather than giving
 up; candidates shrink strictly along the walk, so the first confirmed one is
 the longest border.
 
 Comparisons cost up to the candidate's length each, and on periodic text
-with a defect the walk confirms a long run of failing candidates. Each query
-therefore has a budget of ``_BUDGET_PER_BYTE * m`` bytes compared, shared
-along the border chain; a query that would overspend it is answered by the
-classical border array instead, which bounds every query by a constant
-factor of the classical route.
+with a defect the walk confirms a long run of failing candidates. A walker
+therefore has one budget of ``_BUDGET_PER_BYTE * m`` bytes compared, shared
+by all its calls. The call that would overspend it switches the walker, for
+good, to the classical border array of the text, which bounds every query
+by a constant factor of the classical route. The border chain is the
+classical periodicity reduction over the walker's answers, so a chain that
+runs out of budget continues from its current subject.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
+from . import classical
 # is_covering is not called here; it stays a name of this module because the
 # traced benchmark (querybench/tracing.py) looks it up here.
-from .classical import BorderChain, border_array, border_chain, covers, period_classical
+from .classical import BorderChain, border_array, chain_of, shortest_cover_of
 from .classical import is_covering  # noqa: F401
 from .sampling import CdsView
 from .text import Text
 
-# Bytes a query may compare in character checks, per byte of text.
+# Bytes a walker may compare in character checks, per byte of text.
 _BUDGET_PER_BYTE = 4
 
 
@@ -56,54 +60,69 @@ def _borders_match(x: Text, n: int, b: int) -> bool:
     return x.startswith(memoryview(x)[n - b : n])
 
 
-def _longest_border(
-    x: Text,
-    positions: list[int],
-    distances: list[int],
-    dist_border: list[int],
-    n: int,
-    t: int,
-    k: int,
-    check_chars: bool,
-    budget: int,
-) -> tuple[CdsBorderResult, int] | None:
-    """Longest border of x[:n], whose view holds t pivots and tail gap k.
-
-    ``positions``, ``distances`` and ``dist_border`` belong to the full
-    text; entries up to index t-1 are exactly those of the prefix, so the
-    arrays are shared across prefix subjects. A character check of a
-    length-b candidate spends b bytes of ``budget``. Returns the border and
-    the budget left, or None when the next check would overspend it.
-    """
-    m_bar = t - 1
-    if m_bar < 1:
-        # A border would repeat the pivot somewhere past position 0.
-        return CdsBorderResult(0, -1), budget
-    i = dist_border[m_bar]
-    while i >= 0:
-        if distances[i] <= k:
-            # The prefix copy of the border would contain one pivot too many.
-            i = dist_border[i]
-            continue
-        b = n - positions[m_bar - i]
-        assert 0 < b < n
-        if check_chars:
-            if b > budget:
-                return None
-            budget -= b
-            if not _borders_match(x, n, b):
-                i = dist_border[i]
-                continue
-        return CdsBorderResult(b, i), budget
-    return CdsBorderResult(0, -1), budget
-
-
 def _require_match(v: CdsView, x: Text) -> None:
     # The caller normally passes the very object the view was built from.
     if x is not v.text and x != v.text:
         raise ValueError(
             f"view was built for another text (length {v.m}, given length {len(x)})"
         )
+
+
+def _walker(
+    v: CdsView, x: Text, check_chars: bool | None
+) -> Callable[[int], CdsBorderResult]:
+    """``longest(n)``: the longest border of ``x[:n]``, from the view of ``x``.
+
+    The view of a prefix is the first ``t`` positions and distances of the
+    view of ``x``, with ``t`` pivots below ``n``, so one distance border
+    array serves every prefix. A character check of a length-b candidate
+    spends b bytes of the walker's budget; see the module docstring.
+    """
+    _require_match(v, x)
+    if check_chars is None:
+        check_chars = not _is_binary(x)
+    positions, distances = v.positions, v.distances
+    dist_border = border_array(distances) if distances else None
+    text_border = None
+    budget = _BUDGET_PER_BYTE * v.m
+
+    def longest(n: int) -> CdsBorderResult:
+        nonlocal dist_border, text_border, budget
+        m_bar = bisect_right(positions, n - 1) - 1
+        if m_bar < 1:
+            # A border would repeat the pivot somewhere past position 0.
+            return CdsBorderResult(0, -1)
+        if text_border is None:
+            k = n - 1 - positions[m_bar]
+            i = dist_border[m_bar]
+            while i >= 0:
+                if distances[i] <= k:
+                    # The prefix copy of the border would contain one pivot too many.
+                    i = dist_border[i]
+                    continue
+                b = n - positions[m_bar - i]
+                assert 0 < b < n
+                if check_chars:
+                    if b > budget:
+                        break
+                    budget -= b
+                    if not _borders_match(x, n, b):
+                        i = dist_border[i]
+                        continue
+                return CdsBorderResult(b, i)
+            if i < 0:
+                return CdsBorderResult(0, -1)
+            # The budget ran out. The distance array is released before the
+            # text's is built; the text's is looked up in classical, not here,
+            # so the traced benchmark does not count it as the distance array.
+            dist_border = None
+            text_border = classical.border_array(x)
+        b = text_border[n]
+        # The suffix copy of a border starts at pivot index m_bar - i_bar. With
+        # no border the search runs past the last pivot, which gives -1.
+        return CdsBorderResult(b, m_bar - bisect_left(positions, n - b))
+
+    return longest
 
 
 def border_cds(v: CdsView, x: Text, check_chars: bool | None = None) -> CdsBorderResult:
@@ -114,68 +133,23 @@ def border_cds(v: CdsView, x: Text, check_chars: bool | None = None) -> CdsBorde
     False is only sound on binary texts). A walk that runs out of budget is
     answered from the classical border array, with the same result.
     """
-    _require_match(v, x)
-    if v.m_bar < 1:
-        return CdsBorderResult(0, -1)
-    if check_chars is None:
-        check_chars = not _is_binary(x)
-    dist_border = border_array(v.distances)
-    found = _longest_border(
-        x, v.positions, v.distances, dist_border, v.m, len(v.positions), v.k,
-        check_chars, _BUDGET_PER_BYTE * v.m,
-    )
-    # Released before the fallback builds the text's own border array.
-    del dist_border
-    if found is None:
-        b = v.m - period_classical(x)
-        # The suffix copy of a border starts at pivot index m_bar - i_bar. With
-        # no border the search runs past the last pivot, which gives -1.
-        return CdsBorderResult(b, v.m_bar - bisect_left(v.positions, v.m - b))
-    return found[0]
+    return _walker(v, x, check_chars)(v.m)
 
 
 def period_cds(v: CdsView, x: Text) -> int:
     """Smallest period of ``x``, from the sampled view."""
-    _require_match(v, x)
     return v.m - border_cds(v, x).b
 
 
 def borders_cds(v: CdsView, x: Text) -> BorderChain:
     """Non-periodic border chain of ``x`` from the sampled view.
 
-    Matches the classical chain element for element: each step takes the
-    longest border of the current prefix subject, applies the periodicity
-    reduction when it exceeds half the subject, and recurses into that
-    prefix. The view of each shorter prefix is obtained by locating the cut
-    in the pivot positions, not by resampling. One budget covers the whole
-    chain; when it runs out the chain comes from the classical route.
+    Matches the classical chain element for element: it is
+    :func:`strreg.classical.chain_of` over the walker's longest borders, one
+    walker and one budget for the whole chain.
     """
-    _require_match(v, x)
-    positions, distances = v.positions, v.distances
-    if not distances:
-        return []
-    dist_border = border_array(distances)
-    check_chars = not _is_binary(x)
-    budget = _BUDGET_PER_BYTE * v.m
-    chain: BorderChain = []
-    n = v.m
-    t = len(positions)
-    while t > 1:
-        k = n - 1 - positions[t - 1]
-        found = _longest_border(x, positions, distances, dist_border, n, t, k, check_chars, budget)
-        if found is None:
-            del dist_border  # as in border_cds
-            return border_chain(x)
-        (b, _), budget = found
-        if b == 0:
-            break
-        if 2 * b > n:
-            p = n - b
-            b = p + n % p
-        chain.append(b)
-        n = b
-        t = bisect_right(positions, n - 1)
-    return chain
+    longest = _walker(v, x, None)
+    return chain_of(lambda n: longest(n).b, v.m)
 
 
 def occurrences_via_cds(v: CdsView, x: Text, b: int) -> list[int]:
@@ -201,11 +175,6 @@ def occurrences_via_cds(v: CdsView, x: Text, b: int) -> list[int]:
 def shortest_cover_cds(v: CdsView, x: Text) -> int:
     """Length of the shortest cover of ``x``, from the sampled view.
 
-    Candidates are the chain borders ascending, then the text itself; each is
-    tested against the full text with :func:`strreg.classical.covers`.
+    :func:`strreg.classical.shortest_cover_of` over the sampled chain.
     """
-    _require_match(v, x)
-    for b in reversed(borders_cds(v, x)):
-        if covers(x, b):
-            return b
-    return v.m
+    return shortest_cover_of(x, borders_cds(v, x))

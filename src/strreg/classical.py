@@ -10,7 +10,7 @@ truth in the test suites; quadratic behavior is acceptable there.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .text import EmptyInputError, Text
 
@@ -112,42 +112,52 @@ def covers(x: Text, b: int) -> bool:
     return True
 
 
-def border_chain(x: Text) -> BorderChain:
-    """Decreasing non-periodic border lengths of ``x``.
+def chain_of(longest: Callable[[int], int], n: int) -> BorderChain:
+    """Decreasing non-periodic border lengths of a length-``n`` text.
 
-    Iterates the border function starting from the whole text; whenever the
-    current subject of length n has a border of length l > n/2, l is replaced
-    by (n - l) + n % (n - l) before recursing. That collapses a border of the
+    ``longest(j)`` is the longest proper border of the text's length-j
+    prefix. Iterates it starting from the whole text; whenever the current
+    subject of length n has a border of length l > n/2, l is replaced by
+    (n - l) + n % (n - l) before recursing. That collapses a border of the
     shape u^r u' down to uu', which is still a border of the subject.
     """
-    if not x:
-        raise EmptyInputError("border_chain: empty text")
-    values = border_array(x)
     chain: BorderChain = []
-    n = len(x)
-    l = values[n]
+    l = longest(n)
     while l > 0:
         if 2 * l > n:
             p = n - l
             l = p + n % p
         chain.append(l)
         n = l
-        l = values[n]
+        l = longest(n)
     return chain
 
 
-def shortest_cover_classical(x: Text) -> int:
-    """Length of the shortest cover of ``x``; equals len(x) iff superprimitive.
+def border_chain(x: Text) -> BorderChain:
+    """Decreasing non-periodic border lengths of ``x``, from its border array."""
+    if not x:
+        raise EmptyInputError("border_chain: empty text")
+    return chain_of(border_array(x).__getitem__, len(x))
+
+
+def shortest_cover_of(x: Text, chain: BorderChain) -> int:
+    """Length of the shortest cover of ``x``, given its border chain.
 
     Candidates are the chain borders in ascending order; each is tested
-    against the full text with :func:`covers`.
+    against the full text with :func:`covers`; the text itself covers when
+    none of them does.
     """
-    if not x:
-        raise EmptyInputError("shortest_cover_classical: empty text")
-    for b in reversed(border_chain(x)):
+    for b in reversed(chain):
         if covers(x, b):
             return b
     return len(x)
+
+
+def shortest_cover_classical(x: Text) -> int:
+    """Length of the shortest cover of ``x``; equals len(x) iff superprimitive."""
+    if not x:
+        raise EmptyInputError("shortest_cover_classical: empty text")
+    return shortest_cover_of(x, border_chain(x))
 
 
 def naive_shortest_cover(x: Text) -> int:

@@ -20,7 +20,7 @@ from .classical import (
     period_classical,
     shortest_cover_classical,
 )
-from .sampling import build_cds
+from .sampling import build_cds, sampling_stats
 from .text import EmptyInputError, GenSpec, gen_text, load_text
 
 EXIT_OK = 0
@@ -80,7 +80,7 @@ def _cmd_sample(args) -> int:
         "pivot": chr(view.pivot),
         "m_bar": view.m_bar,
         "k": view.k,
-        "ratio": round(view.m_bar / view.m, 4),
+        "ratio": round(float(sampling_stats(view).ratio), 4),
     }
     print(json.dumps(obj, separators=(",", ":")))
     return EXIT_OK

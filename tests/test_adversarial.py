@@ -7,10 +7,11 @@ budget of bytes compared, whatever the walk would otherwise have confirmed.
 """
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import strreg.cds
+import strreg.classical
 from strreg.cds import border_cds, borders_cds, period_cds, shortest_cover_cds
 from strreg.classical import (
     border_chain,
@@ -54,6 +55,14 @@ def abcab_defect(where):
     return make
 
 
+def abcab_defect_end_twice(n):
+    # u + c..c + u, with u a whole number of periods ending in the defect: the
+    # chain's second subject is u, where the walk alone would compare ~|u|²/10.
+    h = (n - 1) // 10 * 5
+    u = abcab_defect("end")(h) if h else b""
+    return u + b"c" * (n - 2 * h) + u
+
+
 FAMILIES = {
     "unary": unary,
     "fibonacci": fibonacci,
@@ -62,6 +71,7 @@ FAMILIES = {
     "abcab-defect-start": abcab_defect("start"),
     "abcab-defect-middle": abcab_defect("middle"),
     "abcab-defect-end": abcab_defect("end"),
+    "abcab-defect-end-twice": abcab_defect_end_twice,
 }
 LARGE = 20_000
 SMALL = (1, 2, 7, 60, 255, 512)
@@ -117,25 +127,34 @@ def test_bytes_compared_within_budget(family, bytes_compared):
 
 def test_defect_end_walk_falls_back(monkeypatch):
     # Without the budget the walk would confirm about m/5 candidates here.
-    calls = []
-    real = strreg.cds.period_classical
-    monkeypatch.setattr(strreg.cds, "period_classical", lambda x: calls.append(x) or real(x))
+    built = []
+    real = strreg.classical.border_array
+    monkeypatch.setattr(strreg.classical, "border_array", lambda s: built.append(s) or real(s))
     x = FAMILIES["abcab-defect-end"](LARGE)
     assert border_cds(build_cds(x), x) == (0, -1)
-    assert calls == [x]
+    assert built == [x]
 
 
+# At budget 1 this text rejects one candidate, confirms border 3 and falls
+# back on the next subject of its chain, [3, 1].
+@example(b"abaacaaba")
 @given(st.text(alphabet="abc", min_size=1, max_size=96).map(str.encode))
 def test_forced_fallback_keeps_result(x):
     v = build_cds(x)
     walked = border_cds(v, x)
     walked_chain = borders_cds(v, x)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(strreg.cds, "_BUDGET_PER_BYTE", 0)
-        fallen = border_cds(v, x)
-        assert borders_cds(v, x) == walked_chain
-    assert fallen == walked
-    b, i_bar = fallen
+    real = strreg.classical.border_array
+    for budget in (0, 1):
+        built = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(strreg.cds, "_BUDGET_PER_BYTE", budget)
+            mp.setattr(strreg.classical, "border_array", lambda s: built.append(s) or real(s))
+            assert border_cds(v, x) == walked
+            assert built in ([], [x])
+            built.clear()
+            assert borders_cds(v, x) == walked_chain
+            assert built in ([], [x])
+    b, i_bar = walked
     if b:
         assert b == v.m - v.positions[v.m_bar - i_bar]
         assert x[:b] == x[v.m - b :]
