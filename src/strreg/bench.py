@@ -22,7 +22,12 @@ from .classical import period_classical, shortest_cover_classical
 from .sampling import build_cds, sampling_stats
 from .text import Text
 
-TASKS = ("period", "cover")
+# task -> (classical route, sampled route over a view of the same text)
+_ROUTES = {
+    "period": (period_classical, period_cds),
+    "cover": (shortest_cover_classical, shortest_cover_cds),
+}
+TASKS = tuple(_ROUTES)
 
 # Speedup ranges reported for optimized C implementations over 100 MB of
 # English text; printed for orientation only, never asserted.
@@ -63,19 +68,6 @@ class BenchReport:
     sampling: list[SamplingFigure]
 
 
-def _run_task(task: str, text: Text, view=None) -> None:
-    if task == "period":
-        if view is None:
-            period_classical(text)
-        else:
-            period_cds(view, text)
-    else:
-        if view is None:
-            shortest_cover_classical(text)
-        else:
-            shortest_cover_cds(view, text)
-
-
 def _time_runs(fn, runs: int) -> list[int]:
     out = []
     clock = time.perf_counter_ns
@@ -107,13 +99,8 @@ def run_bench(
     sizes: list[int],
     runs: int,
     tasks: tuple[str, ...] = TASKS,
-    pretimed: bool = False,
 ) -> tuple[BenchReport, str]:
-    """Measure every (task, size) pair and return the report plus a summary table.
-
-    ``pretimed`` selects which sampled-method timing enters the structured
-    report: end to end by default, prebuilt-view when set.
-    """
+    """Measure every (task, size) pair and return the report plus a summary table."""
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     for size in sizes:
@@ -137,26 +124,25 @@ def run_bench(
         ratio = round(float(sampling_stats(view).ratio), 4)
         sampling.append(SamplingFigure(size=size, ratio=ratio))
         for task in tasks:
-            t_classical = _stats(_time_runs(lambda: _run_task(task, text), runs))
-            t_cds = _stats(_time_runs(lambda: _run_task(task, text, build_cds(text)), runs))
-            t_pre = _stats(_time_runs(lambda: _run_task(task, text, view), runs))
-            chosen = t_pre if pretimed else t_cds
+            classical, sampled = _ROUTES[task]
+            t_classical = _stats(_time_runs(lambda: classical(text), runs))
+            t_cds = _stats(_time_runs(lambda: sampled(build_cds(text), text), runs))
+            t_pre = _stats(_time_runs(lambda: sampled(view, text), runs))
             entries.append(TimingEntry(f"{task}_classical", size, *t_classical))
-            entries.append(TimingEntry(f"{task}_cds", size, *chosen))
-            speedups.append(Speedup(task, size, speedup_percent(t_classical[1], chosen[1])))
+            entries.append(TimingEntry(f"{task}_cds", size, *t_cds))
+            speedups.append(Speedup(task, size, speedup_percent(t_classical[1], t_cds[1])))
             rows.append((task, size, t_classical, t_cds, t_pre))
 
     report = BenchReport(
         input=label, sizes=list(sizes), runs=runs,
         entries=entries, speedups=speedups, sampling=sampling,
     )
-    return report, _format_summary(label, runs, pretimed, rows, sampling, tasks)
+    return report, _format_summary(label, runs, rows, sampling, tasks)
 
 
-def _format_summary(label, runs, pretimed, rows, sampling, tasks) -> str:
-    mode = "prebuilt-view" if pretimed else "end-to-end"
+def _format_summary(label, runs, rows, sampling, tasks) -> str:
     lines = [
-        f"bench: {label}  runs={runs}  report timing mode: {mode}",
+        f"bench: {label}  runs={runs}",
         f"{'task':<8}{'size':>10}{'classical':>14}{'cds e2e':>14}{'cds prebuilt':>14}"
         f"{'speedup%':>10}{'prebuilt%':>11}",
     ]

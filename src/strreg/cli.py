@@ -8,6 +8,7 @@ stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -36,39 +37,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _cmd_period(args) -> int:
-    text = load_text(args.file, args.prefix)
-    if args.method == "classical":
-        value = period_classical(text)
-    elif args.method == "cds":
-        value = period_cds(build_cds(text), text)
-    else:
-        value = naive_period(text)
-    print(value)
-    return EXIT_OK
+# Lambdas, not bare names: a tracer that patches this module must see every call.
+_QUERIES = {
+    ("period", "classical"): lambda x: period_classical(x),
+    ("period", "cds"): lambda x: period_cds(build_cds(x), x),
+    ("period", "naive"): lambda x: naive_period(x),
+    ("cover", "classical"): lambda x: shortest_cover_classical(x),
+    ("cover", "cds"): lambda x: shortest_cover_cds(build_cds(x), x),
+    ("cover", "naive"): lambda x: naive_shortest_cover(x),
+    ("borders", "classical"): lambda x: border_chain(x),
+    ("borders", "cds"): lambda x: borders_cds(build_cds(x), x),
+}
 
 
-def _cmd_cover(args) -> int:
+def _cmd_query(args) -> int:
     text = load_text(args.file, args.prefix)
-    if args.method == "classical":
-        value = shortest_cover_classical(text)
-    elif args.method == "cds":
-        value = shortest_cover_cds(build_cds(text), text)
-    else:
-        value = naive_shortest_cover(text)
-    print(value)
-    if value == len(text):
+    value = _QUERIES[args.command, args.method](text)
+    print(" ".join(map(str, value)) if args.command == "borders" else value)
+    if args.command == "cover" and value == len(text):
         print("superprimitive")
-    return EXIT_OK
-
-
-def _cmd_borders(args) -> int:
-    text = load_text(args.file, args.prefix)
-    if args.method == "classical":
-        chain = border_chain(text)
-    else:
-        chain = borders_cds(build_cds(text), text)
-    print(" ".join(map(str, chain)))
     return EXIT_OK
 
 
@@ -95,9 +82,7 @@ def _cmd_bench(args) -> int:
         raise ValueError("--sizes must name at least one size")
     tasks = TASKS if args.tasks == "both" else (args.tasks,)
     data = load_text(args.file)
-    report, summary = run_bench(
-        data, str(args.file), sizes, args.runs, tasks, pretimed=args.pretimed
-    )
+    report, summary = run_bench(data, str(args.file), sizes, args.runs, tasks)
     payload = report_to_json(report) if args.format == "json" else report_to_csv(report)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(payload)
@@ -117,6 +102,7 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+@functools.cache  # built on first use, not at import
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="strreg",
@@ -124,20 +110,18 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_query(name, help_text, methods):
-        p = sub.add_parser(name, help=help_text)
+    for command, help_text in (
+        ("period", "smallest period of the input"),
+        ("cover", "shortest cover length of the input"),
+        ("borders", "non-periodic border chain, decreasing"),
+    ):
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("file", help="input file read as raw bytes")
-        p.add_argument("--method", choices=methods, default="classical")
+        p.add_argument("--method", choices=[m for c, m in _QUERIES if c == command],
+                       default="classical")
         p.add_argument("--prefix", type=int, default=None, metavar="N",
                        help="use only the first N bytes")
-        return p
-
-    add_query("period", "smallest period of the input", ("classical", "cds", "naive")
-              ).set_defaults(func=_cmd_period)
-    add_query("cover", "shortest cover length of the input", ("classical", "cds", "naive")
-              ).set_defaults(func=_cmd_cover)
-    add_query("borders", "non-periodic border chain, decreasing", ("classical", "cds")
-              ).set_defaults(func=_cmd_borders)
+        p.set_defaults(func=_cmd_query)
 
     p = sub.add_parser("sample", help="distance-sampling diagnostics as JSON")
     p.add_argument("file")
@@ -148,11 +132,9 @@ def _build_parser() -> _Parser:
     p.add_argument("file")
     p.add_argument("--sizes", required=True, help="comma-separated prefix sizes")
     p.add_argument("--runs", type=int, default=100)
-    p.add_argument("--tasks", choices=("period", "cover", "both"), default="both")
+    p.add_argument("--tasks", choices=(*TASKS, "both"), default="both")
     p.add_argument("--out", required=True, help="report destination path")
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--pretimed", action="store_true",
-                   help="report sampled-method timings on a prebuilt view")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("gen", help="write a deterministic synthetic text")

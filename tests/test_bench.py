@@ -87,14 +87,6 @@ def test_summary_mentions_both_timing_modes(small_report):
     assert "reference cover speedup 63-72%" in summary
 
 
-def test_pretimed_mode_still_two_methods():
-    report, summary = run_bench(DATA, "unit", [256], runs=2, pretimed=True)
-    assert {e.name for e in report.entries} == {
-        "period_classical", "period_cds", "cover_classical", "cover_cds",
-    }
-    assert "prebuilt-view" in summary
-
-
 def test_single_task_selection():
     report, _ = run_bench(DATA, "unit", [256], runs=2, tasks=("period",))
     assert {e.name for e in report.entries} == {"period_classical", "period_cds"}

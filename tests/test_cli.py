@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from strreg.cli import main
+from strreg.cli import _build_parser, main
 from strreg.text import GenSpec, gen_text
 
 
@@ -179,9 +179,18 @@ class TestExitCodes:
     def test_bad_method(self, capsys, fig1_file):
         code, _, _ = run_cli(capsys, "period", fig1_file, "--method", "bogus")
         assert code == 1
+        # borders has no naive route: argparse must refuse it before dispatch.
+        code, _, _ = run_cli(capsys, "borders", fig1_file, "--method", "naive")
+        assert code == 1
 
     def test_missing_command(self, capsys):
         assert run_cli(capsys)[0] == 1
+
+    def test_parser_built_once(self, capsys, fig1_file):
+        _build_parser.cache_clear()
+        run_cli(capsys, "period", fig1_file)
+        run_cli(capsys, "cover", fig1_file)
+        assert _build_parser.cache_info().misses == 1
 
     def test_subprocess_exit_codes(self, tmp_path):
         # The same table through a real process boundary.
