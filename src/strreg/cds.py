@@ -1,32 +1,55 @@
 """Regularity queries answered from the distance-sampled view.
 
 One routine, :func:`_walker`, answers every border query: the longest border
-of a prefix ``x[:n]``. It walks the border chain of the prefix's distance
-sequence from longest to shortest. Each surviving index yields one candidate
-border of the text; a candidate whose distance entry does not clear the
+of a prefix ``x[:n]``. A border of length b starting with the pivot and
+ending with the prefix's pivot-free tail of length k corresponds to a border
+of length i of the prefix's distance sequence, with ``b = k + 1 + P_i`` and
+``P_i`` the i-th pivot position. The walk takes the distance borders from
+longest to shortest. A candidate whose distance entry does not clear the
 pivot-free tail is skipped outright (a pivot would intrude where the suffix
 has none), and the rest are confirmed with a direct prefix/suffix
-comparison. On a binary alphabet the comparison is redundant -- two symbols
-leave no freedom outside the pivot layout -- so it is skipped.
+comparison of the text. On a binary alphabet that comparison is redundant --
+two symbols leave no freedom outside the pivot layout -- so it is skipped.
+A failed comparison moves on to the next shorter candidate; the first
+confirmed one is the longest border.
 
-A failed comparison moves on to the next shorter candidate rather than giving
-up; candidates shrink strictly along the walk, so the first confirmed one is
-the longest border.
+The distance borders come from one of three tiers, each a fallback for the
+one before. The budgets that bound the first and the third are shared by
+all calls of a walker.
 
-Comparisons cost up to the candidate's length each, and on periodic text
-with a defect the walk confirms a long run of failing candidates. A walker
-therefore has one budget of ``_BUDGET_PER_BYTE * m`` bytes compared, shared
-by all its calls. The call that would overspend it switches the walker, for
-good, to the classical border array of the text, which bounds every query
-by a constant factor of the classical route. The border chain is the
-classical periodicity reduction over the walker's answers, so a chain that
-runs out of budget continues from its current subject.
+1. The packed search. The view's packed gaps are searched at C speed. A
+   distance border of at least ``_NEEDLE`` entries starts with the first
+   ``_NEEDLE`` entries, so a ``bytes.find`` of those proposes it; only hits
+   aligned to an entry count. Each hit is confirmed by comparing the packed
+   encodings in doubling windows, so a mismatch costs about its offset. A
+   window that fails becomes the needle for the longer borders, which skips
+   the hits that would fail the same way. The first border confirmed gives
+   the smallest period of the distances, and by Fine and Wilf the next
+   borders down to that period are the period's multiples, listed without a
+   search. Borders shorter than the first needle are compared directly.
+   Every call is charged ``_CALL_COST`` plus the bytes it scanned or
+   compared, hit or not, against an allowance of ``_SEARCH_PER_BYTE`` bytes
+   per byte of packed gaps, which keeps the work it can waste below the
+   cost of the next tier.
+2. The distance border array. When the allowance is spent, the border
+   array of the distance sequence is built once and the walk continues from
+   the candidate it had reached.
+3. The text's border array. Character checks cost up to the candidate's
+   length each, and on periodic text with a defect the walk confirms a long
+   run of failing candidates, so they have their own budget of
+   ``_BUDGET_PER_BYTE * m`` bytes. The call that would overspend it
+   switches the walker, for good, to the classical border array of the
+   text, which bounds every query by a constant factor of the classical
+   route.
+
+The border chain is the classical periodicity reduction over the walker's
+answers, so a chain that runs out of budget continues from its current
+subject.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from typing import Callable, NamedTuple
+from typing import Callable, Generator, Iterator, NamedTuple
 
 from . import classical
 # is_covering is not called here; it stays a name of this module because the
@@ -38,6 +61,15 @@ from .text import Text
 
 # Bytes a walker may compare in character checks, per byte of text.
 _BUDGET_PER_BYTE = 4
+# Bytes the packed search may scan or compare, per byte of packed gaps.
+_SEARCH_PER_BYTE = 8
+# Bytes charged to that allowance per call of the packed search, for the
+# interpreter's work around it: on a 2-core x86-64 box under CPython 3.11, a
+# call costs about 1 us and a byte scanned by ``find`` about 1.3 ns.
+_CALL_COST = 1024
+# Entries of the packed search's first needle; shorter borders are compared
+# directly.
+_NEEDLE = 16
 
 
 class CdsBorderResult(NamedTuple):
@@ -60,6 +92,16 @@ def _borders_match(x: Text, n: int, b: int) -> bool:
     return x.startswith(memoryview(x)[n - b : n])
 
 
+def _find_needle(packed: bytes, needle: bytes, start: int, end: int) -> int:
+    """Lowest offset in ``[start, end)`` where all of ``needle`` occurs, or -1."""
+    return packed.find(needle, start, end)
+
+
+def _runs_match(packed: bytes, window: memoryview, lo: int) -> bool:
+    """Whether ``packed`` holds ``window`` at offset ``lo``, copying nothing."""
+    return packed.startswith(window, lo)
+
+
 def _require_match(v: CdsView, x: Text) -> None:
     # The caller normally passes the very object the view was built from.
     if x is not v.text and x != v.text:
@@ -73,54 +115,148 @@ def _walker(
 ) -> Callable[[int], CdsBorderResult]:
     """``longest(n)``: the longest border of ``x[:n]``, from the view of ``x``.
 
-    The view of a prefix is the first ``t`` positions and distances of the
-    view of ``x``, with ``t`` pivots below ``n``, so one distance border
-    array serves every prefix. A character check of a length-b candidate
-    spends b bytes of the walker's budget; see the module docstring.
+    The distance sequence of a prefix is the first ``m_bar`` entries of the
+    view's, with ``m_bar + 1`` pivots below ``n``, so one packed encoding
+    and one distance border array serve every prefix. See the module
+    docstring for the tiers and their budgets.
     """
     _require_match(v, x)
     if check_chars is None:
         check_chars = not _is_binary(x)
-    positions, distances = v.positions, v.distances
-    dist_border = border_array(distances) if distances else None
-    text_border = None
+    runs, pivot, w = v._runs, x[:1], v._runs.itemsize
+    packed = runs.tobytes()
+    view = memoryview(packed)
+    allowance = _SEARCH_PER_BYTE * len(packed)
+    dist_border = text_border = None
     budget = _BUDGET_PER_BYTE * v.m
 
+    def packed_candidates(m_bar: int, k: int) -> Generator[int, None, int]:
+        # Tier 1. Yields the distance borders of the prefix that clear the
+        # tail, longest first; returns -1 when done, or else the longest
+        # border left undecided when the allowance ran out. Offsets are in
+        # bytes of ``packed``; a hit at h proposes the border of
+        # i = m_bar - h/w entries, which starts with the needle. Borders
+        # whose suffix copy starts below ``start`` are settled.
+        nonlocal allowance
+        end = m_bar * w
+        start, size = w, _NEEDLE * w
+        shorter = []  # needle sizes set aside, for borders shorter than ``size``
+        while True:
+            h, limit = -1, end
+            if start + size <= end:
+                # Search only as far as the allowance pays for.
+                limit = min(end, start + allowance - _CALL_COST)
+                if limit - start >= size:
+                    h = _find_needle(packed, view[:size], start, limit)
+                    allowance -= _CALL_COST + (h + size if h >= 0 else limit) - start
+            if h < 0:
+                if limit < end:
+                    return m_bar - start // w
+                if not shorter:
+                    break
+                # Borders shorter than this needle start where it no longer fits.
+                start, size = max(start, end - size + w), shorter.pop()
+                continue
+            start = h - h % w + w
+            if h % w:
+                continue
+            i = m_bar - h // w
+            # The needle matched the border's first entries; compare the
+            # rest in doubling windows, so a mismatch costs about its offset.
+            lo = size
+            while lo < i * w:
+                hi = min(2 * lo, i * w)
+                if _CALL_COST + hi - lo > allowance:
+                    return i
+                allowance -= _CALL_COST + hi - lo
+                if not _runs_match(packed, view[h + lo : h + hi], lo):
+                    break
+                lo = hi
+            else:
+                # Every border above settled, so p = h/w is the prefix's
+                # smallest period. By Fine and Wilf its other periods up to
+                # m_bar - p are its multiples: the borders down to p entries
+                # are i, i - p, ..., and they share the tail test, since
+                # runs[i] = runs[i - p].
+                p = h // w
+                if runs[i] >= k:
+                    yield i
+                    yield from range(i - p, p - 1, -p)
+                start = max(start, end - h + w)
+                continue
+            if hi < i * w:
+                # Longer borders start with the window that failed here: as
+                # the needle, it skips the hits that would fail the same way.
+                shorter.append(size)
+                size = hi
+        for i in range(min(_NEEDLE - 1, m_bar - start // w), 0, -1):
+            if runs[i] < k:
+                continue
+            if _CALL_COST + i * w > allowance:
+                return i
+            allowance -= _CALL_COST + i * w
+            if _runs_match(packed, view[end - i * w : end], 0):
+                yield i
+        if runs[0] >= k:
+            yield 0
+        return -1
+
+    def candidates(m_bar: int, k: int) -> Iterator[int]:
+        """Distance borders of the prefix whose entry clears the tail, longest first."""
+        nonlocal dist_border
+        top = m_bar
+        if dist_border is None:
+            top = yield from packed_candidates(m_bar, k)
+            if top < 0:
+                return
+            # Tier 2. The runs are the distances less one, so they have the
+            # same border array; it is looked up in this module, which the
+            # traced benchmark counts as the distance border array.
+            dist_border = border_array(runs.tolist())
+        i = dist_border[m_bar]
+        while i > top:
+            i = dist_border[i]
+        while i >= 0:
+            if runs[i] >= k:
+                yield i
+            i = dist_border[i]
+
     def longest(n: int) -> CdsBorderResult:
-        nonlocal dist_border, text_border, budget
-        m_bar = bisect_right(positions, n - 1) - 1
+        nonlocal dist_border, text_border, budget, packed, view
+        m_bar = x.count(pivot, 0, n) - 1 if n < v.m else len(runs)
         if m_bar < 1:
             # A border would repeat the pivot somewhere past position 0.
             return CdsBorderResult(0, -1)
+        k = n - 1 - x.rfind(pivot, 0, n)
         if text_border is None:
-            k = n - 1 - positions[m_bar]
-            i = dist_border[m_bar]
-            while i >= 0:
-                if distances[i] <= k:
-                    # The prefix copy of the border would contain one pivot too many.
-                    i = dist_border[i]
-                    continue
-                b = n - positions[m_bar - i]
+            for i in candidates(m_bar, k):
+                # b = k + 1 + P_i, or n - P_j at the suffix copy's start
+                # j = m_bar - i; the shorter sum is taken.
+                j = m_bar - i
+                if i <= j:
+                    b = k + 1 + i + sum(runs[:i])
+                else:
+                    b = n - j - sum(runs[:j])
                 assert 0 < b < n
                 if check_chars:
                     if b > budget:
                         break
                     budget -= b
                     if not _borders_match(x, n, b):
-                        i = dist_border[i]
                         continue
                 return CdsBorderResult(b, i)
-            if i < 0:
+            else:
                 return CdsBorderResult(0, -1)
-            # The budget ran out. The distance array is released before the
-            # text's is built; the text's is looked up in classical, not here,
-            # so the traced benchmark does not count it as the distance array.
-            dist_border = None
+            # Tier 3. The distance search is released before the text's
+            # border array is built; that is looked up in classical, not
+            # here, so the traced benchmark does not count it as the
+            # distance array.
+            dist_border = packed = view = None
             text_border = classical.border_array(x)
         b = text_border[n]
         # The suffix copy of a border starts at pivot index m_bar - i_bar. With
-        # no border the search runs past the last pivot, which gives -1.
-        return CdsBorderResult(b, m_bar - bisect_left(positions, n - b))
+        # no border the count takes in every pivot, which gives -1.
+        return CdsBorderResult(b, m_bar - x.count(pivot, 0, n - b))
 
     return longest
 
@@ -157,6 +293,8 @@ def occurrences_via_cds(v: CdsView, x: Text, b: int) -> list[int]:
 
     The prefix begins with the pivot, so only pivot positions can start an
     occurrence; each candidate is confirmed with one slice comparison.
+    No query path calls this: the cover test is :func:`strreg.classical.covers`.
+    Only the tests and the traced benchmark do.
     """
     _require_match(v, x)
     if not 1 <= b <= v.m:

@@ -1,13 +1,16 @@
 """Pivot-distance sampling of a text.
 
-The first byte of the text is the pivot. A view records where the pivot
-occurs, the gaps between consecutive occurrences and the length of the
-pivot-free tail. Positions double as the cumulative gap sums, since the
-first occurrence sits at 0.
+The first byte of the text is the pivot. A view records the gaps between
+consecutive occurrences of the pivot and the length of the pivot-free tail.
+It stores the gaps packed, one machine integer per gap: the run of non-pivot
+bytes between two pivots, which is the gap less one. The positions of the
+pivot are the cumulative gap sums, since the first occurrence sits at 0;
+they are not stored.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
@@ -22,26 +25,41 @@ _SPLIT_CHUNK = 1 << 16
 class CdsView:
     """Distance-sampled view of a text of length ``m``.
 
-    ``positions`` lists the pivot occurrence positions (ascending, first is
-    always 0), ``distances`` the gaps between consecutive occurrences, and
-    ``k`` the length of the longest pivot-free suffix. ``positions[i+1]`` is
-    the sum of ``distances[:i+1]``. ``text`` is the text the view was built
-    from; the queries refuse a text that differs from it.
+    ``distances`` lists the gaps between consecutive pivot occurrences,
+    ``positions`` the occurrences themselves (ascending, first is always 0)
+    and ``k`` the length of the longest pivot-free suffix.
+    ``positions[i+1]`` is the sum of ``distances[:i+1]``. ``text`` is the
+    text the view was built from; the queries refuse a text that differs
+    from it.
+
+    The gaps are held privately in ``_runs``, an ``array`` of run lengths
+    (gap - 1), about 4 bytes per pivot; the sampled queries search that
+    encoding directly. ``positions`` and ``distances`` are plain lists built
+    from it on each access, in O(m_bar): read them once into a local.
 
     Contents are never mutated after construction; views are safe to share.
     """
 
     pivot: int
-    positions: list[int]
-    distances: list[int]
     k: int
     m: int
     text: Text = field(repr=False)
+    _runs: array = field(repr=False)
 
     @property
     def m_bar(self) -> int:
         """Number of sampled distances (one less than pivot occurrences)."""
-        return len(self.distances)
+        return len(self._runs)
+
+    @property
+    def distances(self) -> list[int]:
+        """Gaps between consecutive pivot occurrences, built on each access."""
+        return [r + 1 for r in self._runs]
+
+    @property
+    def positions(self) -> list[int]:
+        """Pivot occurrence positions, ascending, built on each access."""
+        return list(accumulate(self.distances, initial=0))
 
 
 def build_cds(x: Text) -> CdsView:
@@ -55,23 +73,17 @@ def build_cds(x: Text) -> CdsView:
     if not x:
         raise EmptyInputError("build_cds: empty text")
     pivot = x[:1]
-    distances: list[int] = []
+    # A run is shorter than the text; 32-bit entries hold it below 2 GiB.
+    runs = array("i" if len(x) <= 1 << 31 else "q")
     # Chunks keep the split pieces few and in cache. A run that crosses a
     # chunk boundary is carried over in ``run``, which ends as the tail.
     run = 0
     for start in range(1, len(x), _SPLIT_CHUNK):
-        runs = list(map(len, x[start : start + _SPLIT_CHUNK].split(pivot)))
-        runs[0] += run
-        run = runs.pop()
-        distances += [r + 1 for r in runs]
-    return CdsView(
-        pivot=x[0],
-        positions=list(accumulate(distances, initial=0)),
-        distances=distances,
-        k=run,
-        m=len(x),
-        text=x,
-    )
+        lengths = list(map(len, x[start : start + _SPLIT_CHUNK].split(pivot)))
+        lengths[0] += run
+        run = lengths.pop()
+        runs.fromlist(lengths)
+    return CdsView(pivot=x[0], k=run, m=len(x), text=x, _runs=runs)
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,8 @@ Periodic and near-periodic texts give the distance sequence long border
 chains. On them the sampled route must agree with the classical route and
 with the oracles, and its character checks must stay within the per-query
 budget of bytes compared, whatever the walk would otherwise have confirmed.
+The packed search of the distance borders must stay within its own
+allowance, and each source of candidates must give the same answers.
 """
 
 import pytest
@@ -24,6 +26,7 @@ from strreg.classical import (
     shortest_cover_classical,
 )
 from strreg.sampling import build_cds
+from strreg.text import GenSpec, gen_text
 
 
 def unary(n):
@@ -63,6 +66,36 @@ def abcab_defect_end_twice(n):
     return u + b"c" * (n - 2 * h) + u
 
 
+def islands(n):
+    # Zero runs after a run of 1: the needle of zero runs first matches the
+    # packed bytes at an offset that is not a multiple of the entry size.
+    return (b"a" * 17 + (b"b" + b"a" * 20) * (n // 21 + 1))[:n]
+
+
+def unary_defect_tail(n):
+    # a^h b a^h' c: the tail blocks every distance border, and confirming
+    # them all would cost the packed search ~m^2 bytes.
+    h = n // 2
+    return (b"a" * h + b"b" + b"a" * (n - h - 2) + b"c")[:n]
+
+
+def large_gaps(n):
+    # Runs of 256, 0, 300 and 255 bytes: entries whose packed bytes repeat
+    # at unaligned offsets, and gaps wider than one byte can hold.
+    unit = b"a" + b"b" * 256 + b"a" + b"a" + b"c" * 300 + b"a" + b"b" * 255
+    return (unit * (n // len(unit) + 1))[:n]
+
+
+def period_1000_pivot_defect(n):
+    # 26 letters of period 1000, with the last pivot before n - 50 replaced:
+    # two distance entries merge near the end, a defect of the distances.
+    x = bytearray(gen_text(GenSpec(26, n, seed=7, forced_period=min(n, 1000))))
+    q = x.rfind(x[:1], 1, max(1, n - 50))
+    if q > 0:
+        x[q] = ord("z") if x[0] != ord("z") else ord("y")
+    return bytes(x)
+
+
 FAMILIES = {
     "unary": unary,
     "fibonacci": fibonacci,
@@ -72,6 +105,10 @@ FAMILIES = {
     "abcab-defect-middle": abcab_defect("middle"),
     "abcab-defect-end": abcab_defect("end"),
     "abcab-defect-end-twice": abcab_defect_end_twice,
+    "islands": islands,
+    "unary-defect-tail": unary_defect_tail,
+    "large-gaps": large_gaps,
+    "period-1000-pivot-defect": period_1000_pivot_defect,
 }
 LARGE = 20_000
 SMALL = (1, 2, 7, 60, 255, 512)
@@ -88,6 +125,27 @@ def bytes_compared(monkeypatch):
         return real(x, n, b)
 
     monkeypatch.setattr(strreg.cds, "_borders_match", counted)
+    return spent
+
+
+@pytest.fixture
+def packed_charged(monkeypatch):
+    """Per-query work of the packed search: per call, its bytes and the call cost."""
+    call = strreg.cds._CALL_COST
+    real_find, real_match = strreg.cds._find_needle, strreg.cds._runs_match
+    spent = []
+
+    def find(packed, needle, start, end):
+        h = real_find(packed, needle, start, end)
+        spent.append(call + (h + len(needle) if h >= 0 else end) - start)
+        return h
+
+    def match(packed, window, lo):
+        spent.append(call + len(window))
+        return real_match(packed, window, lo)
+
+    monkeypatch.setattr(strreg.cds, "_find_needle", find)
+    monkeypatch.setattr(strreg.cds, "_runs_match", match)
     return spent
 
 
@@ -110,9 +168,10 @@ def test_matches_oracles(family):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_bytes_compared_within_budget(family, bytes_compared):
+def test_bytes_compared_within_budget(family, bytes_compared, packed_charged):
     x = FAMILIES[family](LARGE)
     v = build_cds(x)
+    allowance = strreg.cds._SEARCH_PER_BYTE * v.m_bar * v._runs.itemsize
     queries = (
         lambda: border_cds(v, x),
         lambda: border_cds(v, x, check_chars=True),
@@ -121,8 +180,40 @@ def test_bytes_compared_within_budget(family, bytes_compared):
     )
     for query in queries:
         bytes_compared.clear()
+        packed_charged.clear()
         query()
         assert sum(bytes_compared) <= 4 * len(x)
+        assert sum(packed_charged) <= allowance
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_sources_of_candidates_agree(family, answers_by_tier):
+    for n in SMALL + (3000,):
+        x = FAMILIES[family](n)
+        answers = answers_by_tier(x)
+        (b, _), chain = answers["default"]
+        assert answers == dict.fromkeys(answers, answers["default"]), n
+        assert b == len(x) - period_classical(x), n
+        assert chain == border_chain(x), n
+        if n <= 512:
+            assert b == len(x) - naive_period(x), n
+
+
+def test_blocked_borders_drive_distance_array(monkeypatch):
+    # The packed search spends its allowance on this text and the walk goes
+    # on from the distance border array, built once; the text's is not needed.
+    built = {"distances": 0, "text": 0}
+    real = strreg.classical.border_array
+
+    def counted(key):
+        return lambda s: built.update({key: built[key] + 1}) or real(s)
+
+    monkeypatch.setattr(strreg.cds, "border_array", counted("distances"))
+    monkeypatch.setattr(strreg.classical, "border_array", counted("text"))
+    x = unary_defect_tail(LARGE)
+    v = build_cds(x)
+    assert border_cds(v, x) == (0, -1)
+    assert built == {"distances": 1, "text": 0}
 
 
 def test_defect_end_walk_falls_back(monkeypatch):
@@ -173,3 +264,24 @@ def test_covers_rejects_out_of_range_length():
     for b in (0, 4):
         with pytest.raises(ValueError):
             covers(b"abc", b)
+
+
+# Runs of the packed edge cases: zero runs (adjacent pivots), and gaps of
+# 256 and more, whose entries use more than one byte.
+EDGE_RUNS = st.tuples(st.sampled_from((0, 0, 1, 2, 255, 256, 257)), st.sampled_from(b"bc"))
+ZEROS = st.integers(0, 24).map(lambda n: [(0, 98)] * n)
+
+
+# Zero islands around a run of 2: the needle of zero runs also matches one
+# byte past the 2, at an unaligned offset, where a comparison that runs into
+# the end of the packed bytes cannot tell it from a border.
+@example(lead=[(0, 98)] * 20, unit=[(2, 98)], reps=1, trail=[(0, 98)] * 19, tail=0)
+@given(lead=ZEROS, unit=st.lists(EDGE_RUNS, min_size=1, max_size=4), reps=st.integers(1, 6),
+       trail=ZEROS, tail=st.integers(0, 3))
+def test_packed_edge_runs(lead, unit, reps, trail, tail, answers_by_tier, text_from_runs):
+    x = text_from_runs(lead + unit * reps + trail, tail)
+    answers = answers_by_tier(x)
+    (b, _), chain = answers["default"]
+    assert answers == dict.fromkeys(answers, answers["default"])
+    assert b == len(x) - naive_period(x)
+    assert chain == border_chain(x)

@@ -75,6 +75,22 @@ class TestBorderCds:
             assert b == v.m - v.positions[v.m_bar - i_bar]
             assert x[:b] == x[v.m - b :]
 
+    # 15, 16 and 17 distances: around the packed search's 16-entry needle,
+    # with periodic runs that give borders on both sides of it.
+    @pytest.mark.parametrize("m_bar", [15, 16, 17])
+    @given(data=st.data())
+    def test_needle_edges(self, m_bar, data, answers_by_tier, text_from_runs):
+        run = st.tuples(st.sampled_from((0, 1, 2, 256)), st.sampled_from(b"bc"))
+        runs = (data.draw(st.lists(run, min_size=1, max_size=m_bar)) * m_bar)[:m_bar]
+        defect = data.draw(st.integers(-1, m_bar - 1))
+        if defect >= 0:
+            runs[defect] = data.draw(run)
+        x = text_from_runs(runs, data.draw(st.integers(0, 3)))
+        assert build_cds(x).m_bar == m_bar
+        answers = answers_by_tier(x)
+        assert answers == dict.fromkeys(answers, answers["default"])
+        assert answers["default"][0].b == naive_longest_border(x)
+
     @given(binary_texts)
     def test_binary_fast_path_equivalence(self, x):
         v = build_cds(x)

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import strreg.cds
 from strreg import cli
 
 TRACING = Path(__file__).resolve().parent.parent / "querybench" / "tracing.py"
@@ -31,8 +32,7 @@ def test_trace_patches_resolve(tracing):
 
 
 @pytest.mark.parametrize("task, route, spans", [
-    ("period", "cds", {"sampling.build_cds", "cds.period_cds", "cds.border_cds",
-                       "cds.dist_border_array"}),
+    ("period", "cds", {"sampling.build_cds", "cds.period_cds", "cds.border_cds"}),
     ("cover", "classical", {"classical.shortest_cover_classical",
                             "classical.border_chain", "classical.border_array"}),
     ("borders", "cds", {"sampling.build_cds", "cds.borders_cds"}),
@@ -44,3 +44,16 @@ def test_traced_query_records_layers(tracing, tmp_path, capsys, task, route, spa
         assert cli.main([task, str(path), "--method", route]) == 0
     capsys.readouterr()
     assert spans <= {span[0] for span in tracer.spans}
+
+
+def test_traced_distance_array_fallback(tracing, tmp_path, capsys, monkeypatch):
+    # The distance border array is built only once the packed search has
+    # spent its allowance; with none, the traced period query builds it.
+    monkeypatch.setattr(strreg.cds, "_SEARCH_PER_BYTE", 0)
+    path = tmp_path / "fig1.txt"
+    path.write_bytes(b"abaababaaba")
+    with tracing.Tracer() as tracer:
+        assert cli.main(["period", str(path), "--method", "cds"]) == 0
+    capsys.readouterr()
+    assert {"sampling.build_cds", "cds.period_cds", "cds.border_cds",
+            "cds.dist_border_array"} <= {span[0] for span in tracer.spans}

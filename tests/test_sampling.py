@@ -60,6 +60,29 @@ class TestBuildCds:
         assert v.m == len(x)
 
 
+class TestPackedGaps:
+    # Gaps are packed one machine integer each: zero runs (adjacent pivots)
+    # and gaps of 256 and more must come out as they went in.
+    @pytest.mark.parametrize("chunk", [7, 1 << 16])
+    @given(runs=st.lists(st.sampled_from((0, 1, 255, 256, 257, 70000)), max_size=12),
+           tail=st.integers(0, 300))
+    def test_gaps_of_any_size(self, chunk, runs, tail):
+        x = b"a" + b"".join(b"b" * r + b"a" for r in runs) + b"b" * tail
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sampling, "_SPLIT_CHUNK", chunk)
+            v = build_cds(x)
+        assert v.m_bar == len(runs)
+        assert v.distances == [r + 1 for r in runs]
+        assert v.positions == [i for i, c in enumerate(x) if c == x[0]]
+        assert v.k == tail
+
+    def test_fields_are_fresh_lists(self):
+        v = build_cds(b"abaab")
+        v.positions.append(9)
+        v.distances.append(9)
+        assert (v.positions, v.distances, v.m_bar) == ([0, 2, 3], [2, 1], 2)
+
+
 class TestChunkedSplit:
     # build_cds splits the text a chunk at a time; runs that cross a chunk
     # boundary must come out whole.
