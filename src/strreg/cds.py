@@ -13,34 +13,31 @@ two symbols leave no freedom outside the pivot layout -- so it is skipped.
 A failed comparison moves on to the next shorter candidate; the first
 confirmed one is the longest border.
 
-The distance borders come from one of three tiers, each a fallback for the
-one before. The budgets that bound the first and the third are shared by
-all calls of a walker.
+The distance borders come from a C-speed search of the view's packed gaps,
+and the walk falls back to the text's border array when either of two
+budgets runs out. Both budgets are shared by all calls of a walker.
 
-1. The packed search. The view's packed gaps are searched at C speed. A
-   distance border of at least ``_NEEDLE`` entries starts with the first
-   ``_NEEDLE`` entries, so a ``bytes.find`` of those proposes it; only hits
-   aligned to an entry count. Each hit is confirmed by comparing the packed
-   encodings in doubling windows, so a mismatch costs about its offset. A
-   window that fails becomes the needle for the longer borders, which skips
-   the hits that would fail the same way. The first border confirmed gives
-   the smallest period of the distances, and by Fine and Wilf the next
-   borders down to that period are the period's multiples, listed without a
-   search. Borders shorter than the first needle are compared directly.
-   Every call is charged ``_CALL_COST`` plus the bytes it scanned or
-   compared, hit or not, against an allowance of ``_SEARCH_PER_BYTE`` bytes
-   per byte of packed gaps, which keeps the work it can waste below the
-   cost of the next tier.
-2. The distance border array. When the allowance is spent, the border
-   array of the distance sequence is built once and the walk continues from
-   the candidate it had reached.
-3. The text's border array. Character checks cost up to the candidate's
-   length each, and on periodic text with a defect the walk confirms a long
-   run of failing candidates, so they have their own budget of
-   ``_BUDGET_PER_BYTE * m`` bytes. The call that would overspend it
-   switches the walker, for good, to the classical border array of the
-   text, which bounds every query by a constant factor of the classical
-   route.
+1. The packed search. A distance border of at least ``_NEEDLE`` entries
+   starts with the first ``_NEEDLE`` entries, so a ``bytes.find`` of those
+   proposes it; only hits aligned to an entry count, and a hit blocked by
+   the tail is passed over unconfirmed. Each other hit is confirmed by
+   comparing the packed encodings in doubling windows, so a mismatch costs
+   about its offset. A window that fails becomes the needle for the longer
+   borders, which skips the hits that would fail the same way. A confirmed
+   border of i entries gives a period p of the distances; when i >= p, p is
+   the smallest, and by Fine and Wilf the next borders down to p entries
+   are its multiples, listed without a search. Borders shorter than the
+   first needle are compared directly. Every call is charged ``_CALL_COST``
+   plus the bytes it scanned or compared, hit or not, against an allowance
+   of ``_SEARCH_PER_BYTE`` bytes per byte of packed gaps.
+2. The character checks. Each costs up to the candidate's length, and on
+   periodic text with a defect the walk confirms a long run of failing
+   candidates, so they have their own budget of ``_BUDGET_PER_BYTE * m``
+   bytes.
+
+The call that would overspend either budget switches the walker, for good,
+to the classical border array of the text, which bounds every query by a
+constant factor of the classical route.
 
 The border chain is the classical periodicity reduction over the walker's
 answers, so a chain that runs out of budget continues from its current
@@ -49,13 +46,14 @@ subject.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import classical
-# is_covering is not called here; it stays a name of this module because the
-# traced benchmark (querybench/tracing.py) looks it up here.
-from .classical import BorderChain, border_array, chain_of, shortest_cover_of
-from .classical import is_covering  # noqa: F401
+# border_array and is_covering are not called here; they stay names of this
+# module because the traced benchmark (querybench/tracing.py) looks them up
+# here.
+from .classical import BorderChain, chain_of, shortest_cover_of
+from .classical import border_array, is_covering  # noqa: F401
 from .sampling import CdsView
 from .text import Text
 
@@ -116,27 +114,25 @@ def _walker(
     """``longest(n)``: the longest border of ``x[:n]``, from the view of ``x``.
 
     The distance sequence of a prefix is the first ``m_bar`` entries of the
-    view's, with ``m_bar + 1`` pivots below ``n``, so one packed encoding
-    and one distance border array serve every prefix. See the module
-    docstring for the tiers and their budgets.
+    view's, with ``m_bar + 1`` pivots below ``n``, so the view's packed gaps
+    serve every prefix. See the module docstring for the two sources of
+    candidates and their budgets.
     """
     _require_match(v, x)
     if check_chars is None:
         check_chars = not _is_binary(x)
-    runs, pivot, w = v._runs, x[:1], v._runs.itemsize
-    packed = runs.tobytes()
-    view = memoryview(packed)
+    packed, runs, pivot = v._runs, v._entries, x[:1]
+    view, w = memoryview(packed), runs.itemsize
     allowance = _SEARCH_PER_BYTE * len(packed)
-    dist_border = text_border = None
+    text_border = None
     budget = _BUDGET_PER_BYTE * v.m
 
-    def packed_candidates(m_bar: int, k: int) -> Generator[int, None, int]:
-        # Tier 1. Yields the distance borders of the prefix that clear the
-        # tail, longest first; returns -1 when done, or else the longest
-        # border left undecided when the allowance ran out. Offsets are in
-        # bytes of ``packed``; a hit at h proposes the border of
-        # i = m_bar - h/w entries, which starts with the needle. Borders
-        # whose suffix copy starts below ``start`` are settled.
+    def candidates(m_bar: int, k: int) -> Iterator[int]:
+        # The distance borders of the prefix that clear the tail, longest
+        # first, then -1 if the allowance ran out before they were all
+        # found. Offsets are in bytes of ``packed``; a hit at h proposes the
+        # border of i = m_bar - h/w entries, which starts with the needle.
+        # Borders whose suffix copy starts below ``start`` are settled.
         nonlocal allowance
         end = m_bar * w
         start, size = w, _NEEDLE * w
@@ -151,37 +147,41 @@ def _walker(
                     allowance -= _CALL_COST + (h + size if h >= 0 else limit) - start
             if h < 0:
                 if limit < end:
-                    return m_bar - start // w
+                    yield -1
+                    return
                 if not shorter:
                     break
                 # Borders shorter than this needle start where it no longer fits.
                 start, size = max(start, end - size + w), shorter.pop()
                 continue
             start = h - h % w + w
-            if h % w:
-                continue
             i = m_bar - h // w
+            if h % w or runs[i] < k:
+                # Unaligned, or blocked by the tail whether a border or not.
+                continue
             # The needle matched the border's first entries; compare the
             # rest in doubling windows, so a mismatch costs about its offset.
             lo = size
             while lo < i * w:
                 hi = min(2 * lo, i * w)
                 if _CALL_COST + hi - lo > allowance:
-                    return i
+                    yield -1
+                    return
                 allowance -= _CALL_COST + hi - lo
                 if not _runs_match(packed, view[h + lo : h + hi], lo):
                     break
                 lo = hi
             else:
-                # Every border above settled, so p = h/w is the prefix's
-                # smallest period. By Fine and Wilf its other periods up to
-                # m_bar - p are its multiples: the borders down to p entries
-                # are i, i - p, ..., and they share the tail test, since
-                # runs[i] = runs[i - p].
+                # Every longer border failed its comparison or was blocked.
+                # When i >= p = h/w, p is then the prefix's smallest period:
+                # a blocked border of period q < p would block this one too,
+                # since by Fine and Wilf gcd(p, q) is a period, so runs[i] =
+                # runs[m_bar - q]. Again by Fine and Wilf the periods up to
+                # m_bar - p are multiples of p: the borders down to p
+                # entries are i, i - p, ..., and they share the tail test.
                 p = h // w
-                if runs[i] >= k:
-                    yield i
-                    yield from range(i - p, p - 1, -p)
+                yield i
+                yield from range(i - p, p - 1, -p)
                 start = max(start, end - h + w)
                 continue
             if hi < i * w:
@@ -193,36 +193,16 @@ def _walker(
             if runs[i] < k:
                 continue
             if _CALL_COST + i * w > allowance:
-                return i
+                yield -1
+                return
             allowance -= _CALL_COST + i * w
             if _runs_match(packed, view[end - i * w : end], 0):
                 yield i
         if runs[0] >= k:
             yield 0
-        return -1
-
-    def candidates(m_bar: int, k: int) -> Iterator[int]:
-        """Distance borders of the prefix whose entry clears the tail, longest first."""
-        nonlocal dist_border
-        top = m_bar
-        if dist_border is None:
-            top = yield from packed_candidates(m_bar, k)
-            if top < 0:
-                return
-            # Tier 2. The runs are the distances less one, so they have the
-            # same border array; it is looked up in this module, which the
-            # traced benchmark counts as the distance border array.
-            dist_border = border_array(runs.tolist())
-        i = dist_border[m_bar]
-        while i > top:
-            i = dist_border[i]
-        while i >= 0:
-            if runs[i] >= k:
-                yield i
-            i = dist_border[i]
 
     def longest(n: int) -> CdsBorderResult:
-        nonlocal dist_border, text_border, budget, packed, view
+        nonlocal text_border, budget
         m_bar = x.count(pivot, 0, n) - 1 if n < v.m else len(runs)
         if m_bar < 1:
             # A border would repeat the pivot somewhere past position 0.
@@ -230,6 +210,8 @@ def _walker(
         k = n - 1 - x.rfind(pivot, 0, n)
         if text_border is None:
             for i in candidates(m_bar, k):
+                if i < 0:
+                    break
                 # b = k + 1 + P_i, or n - P_j at the suffix copy's start
                 # j = m_bar - i; the shorter sum is taken.
                 j = m_bar - i
@@ -247,11 +229,8 @@ def _walker(
                 return CdsBorderResult(b, i)
             else:
                 return CdsBorderResult(0, -1)
-            # Tier 3. The distance search is released before the text's
-            # border array is built; that is looked up in classical, not
-            # here, so the traced benchmark does not count it as the
-            # distance array.
-            dist_border = packed = view = None
+            # The fallback. It is looked up in classical, not here, so the
+            # traced benchmark does not count it as the distance array.
             text_border = classical.border_array(x)
         b = text_border[n]
         # The suffix copy of a border starts at pivot index m_bar - i_bar. With

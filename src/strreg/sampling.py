@@ -2,10 +2,11 @@
 
 The first byte of the text is the pivot. A view records the gaps between
 consecutive occurrences of the pivot and the length of the pivot-free tail.
-It stores the gaps packed, one machine integer per gap: the run of non-pivot
-bytes between two pivots, which is the gap less one. The positions of the
-pivot are the cumulative gap sums, since the first occurrence sits at 0;
-they are not stored.
+It stores the gaps packed in one ``bytes``, one machine integer per gap: the
+run of non-pivot bytes between two pivots, which is the gap less one. The
+sampled queries search those bytes directly and read single entries through
+a cast ``memoryview``. The positions of the pivot are the cumulative gap
+sums, since the first occurrence sits at 0; they are not stored.
 """
 
 from __future__ import annotations
@@ -21,6 +22,11 @@ from .text import EmptyInputError, Text
 _SPLIT_CHUNK = 1 << 16
 
 
+def _typecode(m: int) -> str:
+    # A run is shorter than the text; 32-bit entries hold it below 2 GiB.
+    return "i" if m <= 1 << 31 else "q"
+
+
 @dataclass(frozen=True)
 class CdsView:
     """Distance-sampled view of a text of length ``m``.
@@ -32,10 +38,11 @@ class CdsView:
     text the view was built from; the queries refuse a text that differs
     from it.
 
-    The gaps are held privately in ``_runs``, an ``array`` of run lengths
-    (gap - 1), about 4 bytes per pivot; the sampled queries search that
-    encoding directly. ``positions`` and ``distances`` are plain lists built
-    from it on each access, in O(m_bar): read them once into a local.
+    The gaps are held privately in ``_runs``, the bytes of the run lengths
+    (gap - 1) as machine integers, about 4 bytes per pivot; the sampled
+    queries search that encoding directly, and ``_entries`` reads it as
+    integers without a copy. ``positions`` and ``distances`` are plain lists
+    built from it on each access, in O(m_bar): read them once into a local.
 
     Contents are never mutated after construction; views are safe to share.
     """
@@ -44,17 +51,22 @@ class CdsView:
     k: int
     m: int
     text: Text = field(repr=False)
-    _runs: array = field(repr=False)
+    _runs: bytes = field(repr=False)
+
+    @property
+    def _entries(self) -> memoryview:
+        """The run lengths as integers, read in place from ``_runs``."""
+        return memoryview(self._runs).cast(_typecode(self.m))
 
     @property
     def m_bar(self) -> int:
         """Number of sampled distances (one less than pivot occurrences)."""
-        return len(self._runs)
+        return len(self._entries)
 
     @property
     def distances(self) -> list[int]:
         """Gaps between consecutive pivot occurrences, built on each access."""
-        return [r + 1 for r in self._runs]
+        return [r + 1 for r in self._entries]
 
     @property
     def positions(self) -> list[int]:
@@ -73,8 +85,7 @@ def build_cds(x: Text) -> CdsView:
     if not x:
         raise EmptyInputError("build_cds: empty text")
     pivot = x[:1]
-    # A run is shorter than the text; 32-bit entries hold it below 2 GiB.
-    runs = array("i" if len(x) <= 1 << 31 else "q")
+    runs = array(_typecode(len(x)))
     # Chunks keep the split pieces few and in cache. A run that crosses a
     # chunk boundary is carried over in ``run``, which ends as the tail.
     run = 0
@@ -83,7 +94,7 @@ def build_cds(x: Text) -> CdsView:
         lengths[0] += run
         run = lengths.pop()
         runs.fromlist(lengths)
-    return CdsView(pivot=x[0], k=run, m=len(x), text=x, _runs=runs)
+    return CdsView(pivot=x[0], k=run, m=len(x), text=x, _runs=runs.tobytes())
 
 
 @dataclass(frozen=True)

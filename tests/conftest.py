@@ -19,12 +19,13 @@ def english_like_1e6():
 
 
 # Settings of strreg.cds that confine the sampled walk to one source of
-# candidates: the packed search alone, the distance border array from the
-# start, or the text's border array from the first character check.
+# candidates: the packed search alone, or the text's border array, reached
+# either at the first search (no allowance) or at the first character check
+# (no budget).
 TIERS = {
     "default": {},
     "packed": {"_SEARCH_PER_BYTE": 10**9, "_BUDGET_PER_BYTE": 10**9},
-    "distance-array": {"_SEARCH_PER_BYTE": 0, "_BUDGET_PER_BYTE": 10**9},
+    "no-allowance": {"_SEARCH_PER_BYTE": 0, "_BUDGET_PER_BYTE": 10**9},
     "text-array": {"_BUDGET_PER_BYTE": 0},
 }
 

@@ -171,7 +171,7 @@ def test_matches_oracles(family):
 def test_bytes_compared_within_budget(family, bytes_compared, packed_charged):
     x = FAMILIES[family](LARGE)
     v = build_cds(x)
-    allowance = strreg.cds._SEARCH_PER_BYTE * v.m_bar * v._runs.itemsize
+    allowance = strreg.cds._SEARCH_PER_BYTE * len(v._runs)
     queries = (
         lambda: border_cds(v, x),
         lambda: border_cds(v, x, check_chars=True),
@@ -199,21 +199,27 @@ def test_sources_of_candidates_agree(family, answers_by_tier):
             assert b == len(x) - naive_period(x), n
 
 
-def test_blocked_borders_drive_distance_array(monkeypatch):
-    # The packed search spends its allowance on this text and the walk goes
-    # on from the distance border array, built once; the text's is not needed.
-    built = {"distances": 0, "text": 0}
-    real = strreg.classical.border_array
+@pytest.mark.parametrize("family", FAMILIES)
+def test_each_candidate_checked_once(family, bytes_compared, monkeypatch):
+    # A period's multiples are listed once; the search must not propose
+    # them again, which would spend the budget on repeated checks. With no
+    # budget to stop it, the walk checks every candidate it is given.
+    monkeypatch.setattr(strreg.cds, "_BUDGET_PER_BYTE", 10**9)
+    x = FAMILIES[family](LARGE)
+    border_cds(build_cds(x), x, check_chars=True)
+    assert len(set(bytes_compared)) == len(bytes_compared)
 
-    def counted(key):
-        return lambda s: built.update({key: built[key] + 1}) or real(s)
 
-    monkeypatch.setattr(strreg.cds, "border_array", counted("distances"))
-    monkeypatch.setattr(strreg.classical, "border_array", counted("text"))
+def test_blocked_hits_not_compared(monkeypatch):
+    # The tail blocks every distance border of a^h b a^h' c, so the packed
+    # search passes its hits over without comparing them.
+    compared = []
+    real = strreg.cds._runs_match
+    monkeypatch.setattr(strreg.cds, "_runs_match",
+                        lambda packed, window, lo: compared.append(lo) or real(packed, window, lo))
     x = unary_defect_tail(LARGE)
-    v = build_cds(x)
-    assert border_cds(v, x) == (0, -1)
-    assert built == {"distances": 1, "text": 0}
+    assert border_cds(build_cds(x), x) == (0, -1)
+    assert compared == []
 
 
 def test_defect_end_walk_falls_back(monkeypatch):

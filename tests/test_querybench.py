@@ -11,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-import strreg.cds
 from strreg import cli
 
 TRACING = Path(__file__).resolve().parent.parent / "querybench" / "tracing.py"
@@ -44,16 +43,3 @@ def test_traced_query_records_layers(tracing, tmp_path, capsys, task, route, spa
         assert cli.main([task, str(path), "--method", route]) == 0
     capsys.readouterr()
     assert spans <= {span[0] for span in tracer.spans}
-
-
-def test_traced_distance_array_fallback(tracing, tmp_path, capsys, monkeypatch):
-    # The distance border array is built only once the packed search has
-    # spent its allowance; with none, the traced period query builds it.
-    monkeypatch.setattr(strreg.cds, "_SEARCH_PER_BYTE", 0)
-    path = tmp_path / "fig1.txt"
-    path.write_bytes(b"abaababaaba")
-    with tracing.Tracer() as tracer:
-        assert cli.main(["period", str(path), "--method", "cds"]) == 0
-    capsys.readouterr()
-    assert {"sampling.build_cds", "cds.period_cds", "cds.border_cds",
-            "cds.dist_border_array"} <= {span[0] for span in tracer.spans}
