@@ -8,10 +8,11 @@ of length i of the prefix's distance sequence, with ``b = k + 1 + P_i`` and
 longest to shortest. A candidate whose distance entry does not clear the
 pivot-free tail is skipped outright (a pivot would intrude where the suffix
 has none), and the rest are confirmed with a direct prefix/suffix
-comparison of the text. On a binary alphabet that comparison is redundant --
-two symbols leave no freedom outside the pivot layout -- so it is skipped.
-A failed comparison moves on to the next shorter candidate; the first
-confirmed one is the longest border.
+comparison of the text, whatever the alphabet. A failed comparison moves on
+to the next shorter candidate; the first confirmed one is the longest
+border. The walk can be told to skip that comparison (``check_chars=False``),
+which is sound only on a binary text: two symbols leave no freedom outside
+the pivot layout (see :func:`strreg.sampling.reconstruct_binary`).
 
 The distance borders come from a C-speed search of the view's packed gaps,
 and the walk falls back to the text's border array when either of two
@@ -26,10 +27,12 @@ budgets runs out. Both budgets are shared by all calls of a walker.
    borders, which skips the hits that would fail the same way. A confirmed
    border of i entries gives a period p of the distances; when i >= p, p is
    the smallest, and by Fine and Wilf the next borders down to p entries
-   are its multiples, listed without a search. Borders shorter than the
-   first needle are compared directly. Every call is charged ``_CALL_COST``
-   plus the bytes it scanned or compared, hit or not, against an allowance
-   of ``_SEARCH_PER_BYTE`` bytes per byte of packed gaps.
+   are its multiples, listed without a search. The needle sizes set aside
+   end in a one-entry needle, so borders shorter than the first needle are
+   proposed, filtered and confirmed the same way. Every call is charged
+   ``_CALL_COST`` plus the bytes it scanned or compared, hit or not,
+   against an allowance of ``_SEARCH_PER_BYTE`` bytes per byte of packed
+   gaps.
 2. The character checks. Each costs up to the candidate's length, and on
    periodic text with a defect the walk confirms a long run of failing
    candidates, so they have their own budget of ``_BUDGET_PER_BYTE * m``
@@ -65,8 +68,8 @@ _SEARCH_PER_BYTE = 8
 # interpreter's work around it: on a 2-core x86-64 box under CPython 3.11, a
 # call costs about 1 us and a byte scanned by ``find`` about 1.3 ns.
 _CALL_COST = 1024
-# Entries of the packed search's first needle; shorter borders are compared
-# directly.
+# Entries of the packed search's first needle; shorter borders are found
+# with a one-entry needle.
 _NEEDLE = 16
 
 
@@ -75,14 +78,6 @@ class CdsBorderResult(NamedTuple):
 
     b: int      # border length in the text; 0 if borderless
     i_bar: int  # distance-sequence border length that produced it; -1 if borderless
-
-
-def _is_binary(x: Text) -> bool:
-    # Cheap reject first: three distinct bytes in any window settle it.
-    if len(set(x[:4096])) > 2:
-        return False
-    # Delete the first two distinct bytes; anything left is a third symbol.
-    return not x.translate(None, x[:1] + x.lstrip(x[:1])[:1])
 
 
 def _borders_match(x: Text, n: int, b: int) -> bool:
@@ -109,7 +104,7 @@ def _require_match(v: CdsView, x: Text) -> None:
 
 
 def _walker(
-    v: CdsView, x: Text, check_chars: bool | None
+    v: CdsView, x: Text, check_chars: bool
 ) -> Callable[[int], CdsBorderResult]:
     """``longest(n)``: the longest border of ``x[:n]``, from the view of ``x``.
 
@@ -119,8 +114,6 @@ def _walker(
     candidates and their budgets.
     """
     _require_match(v, x)
-    if check_chars is None:
-        check_chars = not _is_binary(x)
     packed, runs, pivot = v._runs, v._entries, x[:1]
     view, w = memoryview(packed), runs.itemsize
     allowance = _SEARCH_PER_BYTE * len(packed)
@@ -136,7 +129,9 @@ def _walker(
         nonlocal allowance
         end = m_bar * w
         start, size = w, _NEEDLE * w
-        shorter = []  # needle sizes set aside, for borders shorter than ``size``
+        # Needle sizes set aside, for borders shorter than ``size``; the
+        # one-entry needle at the bottom proposes the shortest ones.
+        shorter = [w]
         while True:
             h, limit = -1, end
             if start + size <= end:
@@ -189,15 +184,6 @@ def _walker(
                 # the needle, it skips the hits that would fail the same way.
                 shorter.append(size)
                 size = hi
-        for i in range(min(_NEEDLE - 1, m_bar - start // w), 0, -1):
-            if runs[i] < k:
-                continue
-            if _CALL_COST + i * w > allowance:
-                yield -1
-                return
-            allowance -= _CALL_COST + i * w
-            if _runs_match(packed, view[end - i * w : end], 0):
-                yield i
         if runs[0] >= k:
             yield 0
 
@@ -240,12 +226,11 @@ def _walker(
     return longest
 
 
-def border_cds(v: CdsView, x: Text, check_chars: bool | None = None) -> CdsBorderResult:
+def border_cds(v: CdsView, x: Text, check_chars: bool = True) -> CdsBorderResult:
     """Longest border of ``x`` plus the distance-border length that produced it.
 
-    With ``check_chars=None`` candidates are verified character-wise unless
-    the text is binary; pass True or False to force either mode (forcing
-    False is only sound on binary texts). A walk that runs out of budget is
+    Candidates are verified character-wise; ``check_chars=False`` skips that,
+    which is only sound on binary texts. A walk that runs out of budget is
     answered from the classical border array, with the same result.
     """
     return _walker(v, x, check_chars)(v.m)
@@ -263,7 +248,7 @@ def borders_cds(v: CdsView, x: Text) -> BorderChain:
     :func:`strreg.classical.chain_of` over the walker's longest borders, one
     walker and one budget for the whole chain.
     """
-    longest = _walker(v, x, None)
+    longest = _walker(v, x, True)
     return chain_of(lambda n: longest(n).b, v.m)
 
 

@@ -1,8 +1,9 @@
 """Border-array algorithms for periods and covers, plus brute-force oracles.
 
 ``border_array`` is generic over the symbol domain: it accepts bytes as well
-as integer sequences, because the same routine is reapplied to distance
-sequences produced by the sampling module.
+as integer sequences. No query path applies it to the distance sequences of
+the sampling module (the sampled route searches their packed form); the
+tests and the acceptance gates do, as the reference for distance borders.
 
 The ``naive_*`` functions check the definitions directly and serve as ground
 truth in the test suites; quadratic behavior is acceptable there.

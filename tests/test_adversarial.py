@@ -174,7 +174,6 @@ def test_bytes_compared_within_budget(family, bytes_compared, packed_charged):
     allowance = strreg.cds._SEARCH_PER_BYTE * len(v._runs)
     queries = (
         lambda: border_cds(v, x),
-        lambda: border_cds(v, x, check_chars=True),
         lambda: borders_cds(v, x),
         lambda: shortest_cover_cds(v, x),
     )
@@ -208,6 +207,24 @@ def test_each_candidate_checked_once(family, bytes_compared, monkeypatch):
     x = FAMILIES[family](LARGE)
     border_cds(build_cds(x), x, check_chars=True)
     assert len(set(bytes_compared)) == len(bytes_compared)
+
+
+@pytest.mark.parametrize("family", ("unary", "fibonacci", "thue-morse", "aab", "islands"))
+def test_binary_checks_within_budget(family, monkeypatch):
+    # Binary texts are checked like any other. Their first candidate that
+    # clears the tail is a border, so with the packed search given all the
+    # allowance it needs, the checks never spend the budget.
+    x = FAMILIES[family](LARGE)
+    assert len(set(x)) <= 2
+    v = build_cds(x)
+    b, chain = len(x) - period_classical(x), border_chain(x)
+    built = []
+    real = strreg.classical.border_array
+    monkeypatch.setattr(strreg.classical, "border_array", lambda s: built.append(s) or real(s))
+    monkeypatch.setattr(strreg.cds, "_SEARCH_PER_BYTE", 10**9)
+    assert border_cds(v, x).b == b
+    assert borders_cds(v, x) == chain
+    assert built == []
 
 
 def test_blocked_hits_not_compared(monkeypatch):

@@ -76,8 +76,9 @@ class TestBorderCds:
             assert x[:b] == x[v.m - b :]
 
     # 15, 16 and 17 distances: around the packed search's 16-entry needle,
-    # with periodic runs that give borders on both sides of it.
-    @pytest.mark.parametrize("m_bar", [15, 16, 17])
+    # with periodic runs that give borders on both sides of it; 1, 2 and 8:
+    # borders that only the one-entry needle proposes.
+    @pytest.mark.parametrize("m_bar", [1, 2, 8, 15, 16, 17])
     @given(data=st.data())
     def test_needle_edges(self, m_bar, data, answers_by_tier, text_from_runs):
         run = st.tuples(st.sampled_from((0, 1, 2, 256)), st.sampled_from(b"bc"))
@@ -95,6 +96,22 @@ class TestBorderCds:
     def test_binary_fast_path_equivalence(self, x):
         v = build_cds(x)
         assert border_cds(v, x, check_chars=False) == border_cds(v, x, check_chars=True)
+
+    def test_binary_text_is_checked(self, monkeypatch):
+        # Every alphabet is checked in the text. On a binary text the first
+        # candidate that clears the tail is a border, so the longest border
+        # and the chain each cost one comparison.
+        real = strreg.cds._borders_match
+        calls = []
+        monkeypatch.setattr(strreg.cds, "_borders_match",
+                            lambda x, n, b: calls.append(b) or real(x, n, b))
+        x = b"aab" * 2000
+        v = build_cds(x)
+        assert border_cds(v, x) == (5997, 3997)
+        assert calls == [5997]
+        calls.clear()
+        assert borders_cds(v, x) == [3]
+        assert calls == [5997]
 
     def test_verification_count_bounded(self):
         import random

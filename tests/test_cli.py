@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import strreg
 from strreg.cli import _build_parser, main
 from strreg.text import GenSpec, gen_text
 
@@ -193,7 +196,11 @@ class TestExitCodes:
         assert _build_parser.cache_info().misses == 1
 
     def test_subprocess_exit_codes(self, tmp_path):
-        # The same table through a real process boundary.
+        # The same table through a real process boundary, in a child that
+        # imports the strreg under test, installed or not.
+        src = str(Path(strreg.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
         empty = tmp_path / "empty.bin"
         empty.write_bytes(b"")
         ok = tmp_path / "ok.bin"
@@ -207,6 +214,7 @@ class TestExitCodes:
             proc = subprocess.run(
                 [sys.executable, "-m", "strreg.cli", *argv],
                 capture_output=True,
+                env=env,
             )
             assert proc.returncode == expected, (argv, proc.stderr)
 
