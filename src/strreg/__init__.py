@@ -25,7 +25,7 @@ from .classical import (
     period_classical,
     shortest_cover_classical,
 )
-from .sampling import CdsView, SamplingStats, build_cds, reconstruct_binary, sampling_stats
+from .sampling import CdsView, SamplingStats, build_cds, sampling_stats
 from .text import EmptyInputError, GenSpec, Text, gen_text, load_text
 
 __version__ = "0.1.0"
@@ -53,7 +53,6 @@ __all__ = [
     "occurrences_via_cds",
     "period_classical",
     "period_cds",
-    "reconstruct_binary",
     "sampling_stats",
     "shortest_cover_classical",
     "shortest_cover_cds",

@@ -4,8 +4,8 @@ Measurements run strictly sequentially on one thread. Speedups are computed
 from medians to resist timer noise; means are reported alongside. The
 sampled methods are timed twice per task: end to end (view construction
 included, the conservative accounting) and on a prebuilt view. The
-structured report carries one of the two modes; the printed summary shows
-both.
+structured report carries the end-to-end timings only; the printed summary
+shows both.
 """
 
 from __future__ import annotations

@@ -10,9 +10,7 @@ pivot-free tail is skipped outright (a pivot would intrude where the suffix
 has none), and the rest are confirmed with a direct prefix/suffix
 comparison of the text, whatever the alphabet. A failed comparison moves on
 to the next shorter candidate; the first confirmed one is the longest
-border. The walk can be told to skip that comparison (``check_chars=False``),
-which is sound only on a binary text: two symbols leave no freedom outside
-the pivot layout (see :func:`strreg.sampling.reconstruct_binary`).
+border.
 
 The distance borders come from a C-speed search of the view's packed gaps,
 and the walk falls back to the text's border array when either of two
@@ -103,9 +101,7 @@ def _require_match(v: CdsView, x: Text) -> None:
         )
 
 
-def _walker(
-    v: CdsView, x: Text, check_chars: bool
-) -> Callable[[int], CdsBorderResult]:
+def _walker(v: CdsView, x: Text) -> Callable[[int], CdsBorderResult]:
     """``longest(n)``: the longest border of ``x[:n]``, from the view of ``x``.
 
     The distance sequence of a prefix is the first ``m_bar`` entries of the
@@ -206,12 +202,11 @@ def _walker(
                 else:
                     b = n - j - sum(runs[:j])
                 assert 0 < b < n
-                if check_chars:
-                    if b > budget:
-                        break
-                    budget -= b
-                    if not _borders_match(x, n, b):
-                        continue
+                if b > budget:
+                    break
+                budget -= b
+                if not _borders_match(x, n, b):
+                    continue
                 return CdsBorderResult(b, i)
             else:
                 return CdsBorderResult(0, -1)
@@ -229,11 +224,12 @@ def _walker(
 def border_cds(v: CdsView, x: Text, check_chars: bool = True) -> CdsBorderResult:
     """Longest border of ``x`` plus the distance-border length that produced it.
 
-    Candidates are verified character-wise; ``check_chars=False`` skips that,
-    which is only sound on binary texts. A walk that runs out of budget is
-    answered from the classical border array, with the same result.
+    Every candidate is verified in the text, on every alphabet;
+    ``check_chars`` has no effect and is kept only so existing callers still
+    run. A walk that runs out of budget is answered from the classical border
+    array, with the same result.
     """
-    return _walker(v, x, check_chars)(v.m)
+    return _walker(v, x)(v.m)
 
 
 def period_cds(v: CdsView, x: Text) -> int:
@@ -248,7 +244,7 @@ def borders_cds(v: CdsView, x: Text) -> BorderChain:
     :func:`strreg.classical.chain_of` over the walker's longest borders, one
     walker and one budget for the whole chain.
     """
-    longest = _walker(v, x, True)
+    longest = _walker(v, x)
     return chain_of(lambda n: longest(n).b, v.m)
 
 

@@ -112,19 +112,3 @@ def sampling_stats(v: CdsView) -> SamplingStats:
     """
     return SamplingStats(ratio=Fraction(v.m_bar, v.m), entries=v.m_bar, text_len=v.m)
 
-
-def reconstruct_binary(v: CdsView, filler: int | None = None) -> Text:
-    """Rebuild a two-letter text from its view.
-
-    Over a binary alphabet the pivot layout pins every byte: pivot positions
-    carry the pivot, everything else carries the single other letter. The
-    filler byte defaults to 'b' (or 'a' when the pivot itself is 'b').
-    """
-    if filler is None:
-        filler = 98 if v.pivot != 98 else 97
-    if filler == v.pivot:
-        raise ValueError("filler byte must differ from the pivot")
-    out = bytearray(bytes([filler]) * v.m)
-    for p in v.positions:
-        out[p] = v.pivot
-    return bytes(out)

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from strreg import sampling
 from strreg.classical import border_array
-from strreg.sampling import build_cds, reconstruct_binary, sampling_stats
+from strreg.sampling import build_cds, sampling_stats
 from strreg.text import EmptyInputError, GenSpec, gen_text
 
 texts = st.binary(min_size=1, max_size=96)
-binary_texts = st.text(alphabet="ab", min_size=1, max_size=96).map(str.encode)
 
 
 class TestBuildCds:
@@ -147,17 +146,3 @@ class TestDistanceSumIdentities:
         for j in range(v.m_bar - p + 1):
             assert sum(v.distances[j : j + p]) == first
 
-
-class TestBinaryRoundTrip:
-    @given(binary_texts)
-    def test_reconstruction_identity(self, x):
-        v = build_cds(x)
-        rebuilt = reconstruct_binary(v)
-        w = build_cds(rebuilt)
-        assert (w.positions, w.distances, w.k) == (v.positions, v.distances, v.k)
-        assert len(rebuilt) == len(x)
-
-    def test_filler_must_differ(self):
-        v = build_cds(b"aba")
-        with pytest.raises(ValueError):
-            reconstruct_binary(v, filler=ord("a"))
