@@ -91,26 +91,36 @@ def is_covering(occ: Sequence[int], b: int, m: int) -> bool:
     return all(occ[j + 1] - occ[j] <= b for j in range(len(occ) - 1))
 
 
-def covers(x: Text, b: int) -> bool:
-    """Whether the length-``b`` prefix of ``x`` covers ``x``.
+def covers(x: Text, b: int, end: int | None = None) -> bool:
+    """Whether the length-``b`` prefix of ``x`` covers the prefix ``x[:end]``.
 
-    Same answer as ``is_covering(occurrences(x[:b], x), b, len(x))``, in one
-    forward pass: each step is one ``bytes.find`` for the next occurrence no
-    more than ``b`` past the last one, and the first step that finds none
-    settles it. The search runs forward on purpose: CPython's reverse search
-    has no Two-Way fallback and is far slower on periodic text.
+    ``end`` defaults to ``len(x)``, the whole text. Same answer as
+    ``is_covering(occurrences(x[:b], x[:end]), b, end)``, in one forward
+    pass: each step is one ``bytes.find`` for the next occurrence no more than
+    ``b`` past the last one, and the first step that finds none settles it.
+    The search is not cut at ``end``: an occurrence found past ``end - b``
+    means that none ends at ``end``. The search runs forward on purpose:
+    CPython's reverse search has no Two-Way fallback and is far slower on
+    periodic text.
+
+    :func:`shortest_cover_of` passes ``end`` for this lemma: if a border w of
+    x covers x, a border u of x no longer than w covers x exactly when it
+    covers w. Covering is transitive, and a cover of x covers every border of
+    x at least as long as itself.
     """
     m = len(x)
-    if not 1 <= b <= m:
-        raise ValueError(f"covers: b must lie in [1, {m}], got {b}")
+    if end is None:
+        end = m
+    if not 1 <= b <= end <= m:
+        raise ValueError(f"covers: need 1 <= b <= end <= {m}, got b={b}, end={end}")
     prefix = x[:b]
     find = x.find
-    last, end = 0, m - b
-    while last < end:
+    last, stop = 0, end - b
+    while last < stop:
         last = find(prefix, last + 1, last + 2 * b)
         if last < 0:
             return False
-    return True
+    return last == stop
 
 
 def chain_of(longest: Callable[[int], int], n: int) -> BorderChain:
@@ -141,17 +151,42 @@ def border_chain(x: Text) -> BorderChain:
     return chain_of(border_array(x).__getitem__, len(x))
 
 
+def _covers_by_period(x: Text, c: int, w: int) -> bool:
+    """Whether the period test of :func:`shortest_cover_of` shows that
+    ``x[:c]`` covers ``x[:w]``; ``c < w``."""
+    h = x.find(x[:c], 1, min(w, 2 * c))
+    return 0 < h <= c and (w - c) % h == 0 and x.startswith(memoryview(x)[h:w])
+
+
 def shortest_cover_of(x: Text, chain: BorderChain) -> int:
     """Length of the shortest cover of ``x``, given its border chain.
 
-    Candidates are the chain borders in ascending order; each is tested
-    against the full text with :func:`covers`; the text itself covers when
-    none of them does.
+    The shortest cover is the shortest chain border that covers ``x``, or
+    ``len(x)`` when none does. The walk goes down the chain from its longest
+    border and keeps ``w``, a prefix length known to cover ``x``, first
+    ``len(x)``. A border c becomes the new ``w`` when it passes the period
+    test: the first occurrence h of ``x[:c]`` after 0 lies within ``2c``
+    bytes, h <= c, h divides ``w - c``, and ``x[:w]`` has period h (one
+    ``startswith``). That is sound: with period h, ``x[:c]`` occurs at every
+    multiple of h up to ``w - c``, and consecutive occurrences are h <= c
+    apart. Every step where ``chain_of`` reduced a border of ``x[:w]`` to
+    ``c = p + w % p``, p the smallest period, passes it, as Fine and Wilf
+    force h = p.
+
+    By the lemma of :func:`covers`, a border no longer than ``w`` covers
+    ``x`` exactly when it covers ``x[:w]``. So at the first border that
+    fails the period test, it and the shorter borders are tested in
+    ascending order with ``covers(x, b, w)``, and ``w`` is the answer when
+    none covers. Each ``w`` is below two thirds of the one before, so the
+    walk reads O(len(x)) bytes, and on periodic text the candidates are
+    tested on one or two periods instead of the whole text.
     """
-    for b in reversed(chain):
-        if covers(x, b):
-            return b
-    return len(x)
+    w = len(x)
+    for i, c in enumerate(chain):
+        if not _covers_by_period(x, c, w):
+            return next((b for b in reversed(chain[i:]) if covers(x, b, w)), w)
+        w = c
+    return w
 
 
 def shortest_cover_classical(x: Text) -> int:

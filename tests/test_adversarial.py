@@ -277,16 +277,70 @@ def test_forced_fallback_keeps_result(x):
 
 
 @given(st.text(alphabet="ab", min_size=1, max_size=64).map(str.encode) | st.binary(min_size=1, max_size=64),
-       st.integers(1, 64))
-def test_covers_matches_definition(x, b):
+       st.integers(1, 64), st.integers(1, 64))
+def test_covers_matches_definition(x, b, end):
     b = min(b, len(x))
+    end = min(max(end, b), len(x))
     assert covers(x, b) == is_covering(occurrences(x[:b], x), b, len(x))
+    assert covers(x, b, end) == is_covering(occurrences(x[:b], x[:end]), b, end)
 
 
 def test_covers_rejects_out_of_range_length():
     for b in (0, 4):
         with pytest.raises(ValueError):
             covers(b"abc", b)
+    for b, end in ((2, 1), (1, 4), (0, 2)):
+        with pytest.raises(ValueError):
+            covers(b"abc", b, end)
+
+
+@st.composite
+def periodic_with_defects(draw):
+    """A unit of 1-8 letters, or unary or ``aab``, repeated and cut to 1-300
+    bytes, with 0-2 bytes replaced."""
+    units = st.text(alphabet="abcd", min_size=1, max_size=8).map(str.encode)
+    unit = draw(st.sampled_from((b"a", b"aab")) | units)
+    m = draw(st.integers(1, 300))
+    x = bytearray((unit * (m // len(unit) + 1))[:m])
+    for _ in range(draw(st.integers(0, 2))):
+        x[draw(st.integers(0, m - 1))] = draw(st.sampled_from(b"abcdz"))
+    return bytes(x)
+
+
+@given(periodic_with_defects(), st.data())
+def test_cover_search_on_periodic_texts(x, data):
+    c = naive_shortest_cover(x)
+    assert shortest_cover_classical(x) == c
+    assert shortest_cover_cds(build_cds(x), x) == c
+    end = data.draw(st.integers(1, len(x)))
+    prefix = x[:end]
+    assert all(covers(x, b, end) == covers(prefix, b) for b in range(1, end + 1))
+
+
+@pytest.mark.parametrize("make, cover", [
+    (unary, 1),
+    (aab, 4),
+    (lambda n: (b"abb" * (n // 3 + 1))[:n], 4),
+], ids=("unary", "aab", "abb"))
+def test_cover_tests_stay_inside_first_chain_entry(make, cover, monkeypatch):
+    # The first chain entry p + m mod p covers a text of period p, so no
+    # candidate needs to be tested on more of the text than that prefix.
+    x = make(10**5)
+    p = period_classical(x)
+    first = p + len(x) % p
+    assert border_chain(x)[0] == first
+    real = strreg.classical.covers
+    calls = []
+
+    def recorded(x, b, end=None):
+        calls.append((b, len(x) if end is None else end))
+        return real(x, b) if end is None else real(x, b, end)
+
+    monkeypatch.setattr(strreg.classical, "covers", recorded)
+    for route in (shortest_cover_classical, lambda x: shortest_cover_cds(build_cds(x), x)):
+        calls.clear()
+        assert route(x) == cover
+        assert all(end <= first for _, end in calls), calls
 
 
 # Runs of the packed edge cases: zero runs (adjacent pivots), and gaps of

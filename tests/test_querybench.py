@@ -35,6 +35,7 @@ def test_trace_patches_resolve(tracing):
     ("cover", "classical", {"classical.shortest_cover_classical",
                             "classical.border_chain", "classical.border_array"}),
     ("borders", "cds", {"sampling.build_cds", "cds.borders_cds"}),
+    ("cover", "cds", {"sampling.build_cds", "cds.shortest_cover_cds", "cds.borders_cds"}),
 ])
 def test_traced_query_records_layers(tracing, tmp_path, capsys, task, route, spans):
     path = tmp_path / "fig1.txt"
