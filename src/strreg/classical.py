@@ -91,36 +91,26 @@ def is_covering(occ: Sequence[int], b: int, m: int) -> bool:
     return all(occ[j + 1] - occ[j] <= b for j in range(len(occ) - 1))
 
 
-def covers(x: Text, b: int, end: int | None = None) -> bool:
-    """Whether the length-``b`` prefix of ``x`` covers the prefix ``x[:end]``.
+def covers(x: Text, b: int) -> bool:
+    """Whether the length-``b`` prefix of ``x`` covers ``x``.
 
-    ``end`` defaults to ``len(x)``, the whole text. Same answer as
-    ``is_covering(occurrences(x[:b], x[:end]), b, end)``, in one forward
-    pass: each step is one ``bytes.find`` for the next occurrence no more than
-    ``b`` past the last one, and the first step that finds none settles it.
-    The search is not cut at ``end``: an occurrence found past ``end - b``
-    means that none ends at ``end``. The search runs forward on purpose:
-    CPython's reverse search has no Two-Way fallback and is far slower on
-    periodic text.
-
-    :func:`shortest_cover_of` passes ``end`` for this lemma: if a border w of
-    x covers x, a border u of x no longer than w covers x exactly when it
-    covers w. Covering is transitive, and a cover of x covers every border of
-    x at least as long as itself.
+    Same answer as ``is_covering(occurrences(x[:b], x), b, len(x))``, in one
+    forward pass: each step is one ``bytes.find`` for the next occurrence no
+    more than ``b`` past the last one, and the first step that finds none
+    settles it. The search runs forward on purpose: CPython's reverse search
+    has no Two-Way fallback and is far slower on periodic text.
     """
     m = len(x)
-    if end is None:
-        end = m
-    if not 1 <= b <= end <= m:
-        raise ValueError(f"covers: need 1 <= b <= end <= {m}, got b={b}, end={end}")
+    if not 1 <= b <= m:
+        raise ValueError(f"covers: b must lie in [1, {m}], got {b}")
     prefix = x[:b]
     find = x.find
-    last, stop = 0, end - b
-    while last < stop:
+    last, end = 0, m - b
+    while last < end:
         last = find(prefix, last + 1, last + 2 * b)
         if last < 0:
             return False
-    return last == stop
+    return True
 
 
 def chain_of(longest: Callable[[int], int], n: int) -> BorderChain:
@@ -162,29 +152,34 @@ def shortest_cover_of(x: Text, chain: BorderChain) -> int:
     """Length of the shortest cover of ``x``, given its border chain.
 
     The shortest cover is the shortest chain border that covers ``x``, or
-    ``len(x)`` when none does. The walk goes down the chain from its longest
-    border and keeps ``w``, a prefix length known to cover ``x``, first
-    ``len(x)``. A border c becomes the new ``w`` when it passes the period
-    test: the first occurrence h of ``x[:c]`` after 0 lies within ``2c``
-    bytes, h <= c, h divides ``w - c``, and ``x[:w]`` has period h (one
-    ``startswith``). That is sound: with period h, ``x[:c]`` occurs at every
-    multiple of h up to ``w - c``, and consecutive occurrences are h <= c
-    apart. Every step where ``chain_of`` reduced a border of ``x[:w]`` to
-    ``c = p + w % p``, p the smallest period, passes it, as Fine and Wilf
-    force h = p.
+    ``len(x)`` when none does. The search rests on this lemma (Apostolico,
+    Farach and Iliopoulos, 1991; Breslauer, 1992): if a border w of ``x``
+    covers ``x``, a border u of ``x`` no longer than w covers ``x`` exactly
+    when it covers w. Covering is transitive, and a cover of ``x`` covers
+    every border of ``x`` at least as long as itself.
 
-    By the lemma of :func:`covers`, a border no longer than ``w`` covers
-    ``x`` exactly when it covers ``x[:w]``. So at the first border that
-    fails the period test, it and the shorter borders are tested in
-    ascending order with ``covers(x, b, w)``, and ``w`` is the answer when
-    none covers. Each ``w`` is below two thirds of the one before, so the
-    walk reads O(len(x)) bytes, and on periodic text the candidates are
-    tested on one or two periods instead of the whole text.
+    The walk goes down the chain from its longest border and keeps ``w``, a
+    prefix length known to cover ``x``, first ``len(x)``. A border c becomes
+    the new ``w`` when it passes the period test: the first occurrence h of
+    ``x[:c]`` after 0 lies within ``2c`` bytes, h <= c, h divides ``w - c``,
+    and ``x[:w]`` has period h (one ``startswith``). That is sound: with
+    period h, ``x[:c]`` occurs at every multiple of h up to ``w - c``, and
+    consecutive occurrences are h <= c apart. Every step where ``chain_of``
+    reduced a border of ``x[:w]`` to ``c = p + w % p``, p the smallest
+    period, passes it, as Fine and Wilf force h = p.
+
+    At the first border that fails the period test, it and the shorter
+    borders are tested in ascending order with :func:`covers` on ``x[:w]``,
+    and ``w`` is the answer when none covers. Each ``w`` is below two thirds
+    of the one before, so the walk reads O(len(x)) bytes, and on periodic
+    text the candidates are tested on one or two periods instead of the
+    whole text.
     """
     w = len(x)
     for i, c in enumerate(chain):
         if not _covers_by_period(x, c, w):
-            return next((b for b in reversed(chain[i:]) if covers(x, b, w)), w)
+            y = x[:w]
+            return next((b for b in reversed(chain[i:]) if covers(y, b)), w)
         w = c
     return w
 

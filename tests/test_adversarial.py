@@ -277,21 +277,16 @@ def test_forced_fallback_keeps_result(x):
 
 
 @given(st.text(alphabet="ab", min_size=1, max_size=64).map(str.encode) | st.binary(min_size=1, max_size=64),
-       st.integers(1, 64), st.integers(1, 64))
-def test_covers_matches_definition(x, b, end):
+       st.integers(1, 64))
+def test_covers_matches_definition(x, b):
     b = min(b, len(x))
-    end = min(max(end, b), len(x))
     assert covers(x, b) == is_covering(occurrences(x[:b], x), b, len(x))
-    assert covers(x, b, end) == is_covering(occurrences(x[:b], x[:end]), b, end)
 
 
 def test_covers_rejects_out_of_range_length():
     for b in (0, 4):
         with pytest.raises(ValueError):
             covers(b"abc", b)
-    for b, end in ((2, 1), (1, 4), (0, 2)):
-        with pytest.raises(ValueError):
-            covers(b"abc", b, end)
 
 
 @st.composite
@@ -307,14 +302,11 @@ def periodic_with_defects(draw):
     return bytes(x)
 
 
-@given(periodic_with_defects(), st.data())
-def test_cover_search_on_periodic_texts(x, data):
+@given(periodic_with_defects())
+def test_cover_search_on_periodic_texts(x):
     c = naive_shortest_cover(x)
     assert shortest_cover_classical(x) == c
     assert shortest_cover_cds(build_cds(x), x) == c
-    end = data.draw(st.integers(1, len(x)))
-    prefix = x[:end]
-    assert all(covers(x, b, end) == covers(prefix, b) for b in range(1, end + 1))
 
 
 @pytest.mark.parametrize("make, cover", [
@@ -332,15 +324,15 @@ def test_cover_tests_stay_inside_first_chain_entry(make, cover, monkeypatch):
     real = strreg.classical.covers
     calls = []
 
-    def recorded(x, b, end=None):
-        calls.append((b, len(x) if end is None else end))
-        return real(x, b) if end is None else real(x, b, end)
+    def recorded(x, b):
+        calls.append((b, len(x)))
+        return real(x, b)
 
     monkeypatch.setattr(strreg.classical, "covers", recorded)
     for route in (shortest_cover_classical, lambda x: shortest_cover_cds(build_cds(x), x)):
         calls.clear()
         assert route(x) == cover
-        assert all(end <= first for _, end in calls), calls
+        assert all(n <= first for _, n in calls), calls
 
 
 # Runs of the packed edge cases: zero runs (adjacent pivots), and gaps of
