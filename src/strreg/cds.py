@@ -23,14 +23,12 @@ budgets runs out. Both budgets are shared by all calls of a walker.
    comparing the packed encodings in doubling windows, so a mismatch costs
    about its offset. A window that fails becomes the needle for the longer
    borders, which skips the hits that would fail the same way. A confirmed
-   border of i entries gives a period p of the distances; when i >= p, p is
-   the smallest, and by Fine and Wilf the next borders down to p entries
-   are its multiples, listed without a search. The needle sizes set aside
-   end in a one-entry needle, so borders shorter than the first needle are
-   proposed, filtered and confirmed the same way. Every call is charged
-   ``_CALL_COST`` plus the bytes it scanned or compared, hit or not,
-   against an allowance of ``_SEARCH_PER_BYTE`` bytes per byte of packed
-   gaps.
+   border is passed on and the search resumes past its hit. The needle
+   sizes set aside end in a one-entry needle, so borders shorter than the
+   first needle are proposed, filtered and confirmed the same way. Every
+   call is charged ``_CALL_COST`` plus the bytes it scanned or compared, hit
+   or not, against an allowance of ``_SEARCH_PER_BYTE`` bytes per byte of
+   packed gaps.
 2. The character checks. Each costs up to the candidate's length, and on
    periodic text with a defect the walk confirms a long run of failing
    candidates, so they have their own budget of ``_BUDGET_PER_BYTE * m``
@@ -163,17 +161,7 @@ def _walker(v: CdsView, x: Text) -> Callable[[int], CdsBorderResult]:
                     break
                 lo = hi
             else:
-                # Every longer border failed its comparison or was blocked.
-                # When i >= p = h/w, p is then the prefix's smallest period:
-                # a blocked border of period q < p would block this one too,
-                # since by Fine and Wilf gcd(p, q) is a period, so runs[i] =
-                # runs[m_bar - q]. Again by Fine and Wilf the periods up to
-                # m_bar - p are multiples of p: the borders down to p
-                # entries are i, i - p, ..., and they share the tail test.
-                p = h // w
                 yield i
-                yield from range(i - p, p - 1, -p)
-                start = max(start, end - h + w)
                 continue
             if hi < i * w:
                 # Longer borders start with the window that failed here: as

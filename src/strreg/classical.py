@@ -158,29 +158,28 @@ def shortest_cover_of(x: Text, chain: BorderChain) -> int:
     when it covers w. Covering is transitive, and a cover of ``x`` covers
     every border of ``x`` at least as long as itself.
 
-    The walk goes down the chain from its longest border and keeps ``w``, a
-    prefix length known to cover ``x``, first ``len(x)``. A border c becomes
-    the new ``w`` when it passes the period test: the first occurrence h of
-    ``x[:c]`` after 0 lies within ``2c`` bytes, h <= c, h divides ``w - c``,
-    and ``x[:w]`` has period h (one ``startswith``). That is sound: with
-    period h, ``x[:c]`` occurs at every multiple of h up to ``w - c``, and
-    consecutive occurrences are h <= c apart. Every step where ``chain_of``
-    reduced a border of ``x[:w]`` to ``c = p + w % p``, p the smallest
-    period, passes it, as Fine and Wilf force h = p.
+    The search is one loop down the chain from its longest border. It keeps
+    ``w``, a prefix length known to cover ``x``, first ``len(x)``, and a
+    border c becomes the new ``w`` when it covers ``x[:w]``; by the lemma
+    the last such c is the answer. The period test comes first: the first
+    occurrence h of ``x[:c]`` after 0 lies within ``2c`` bytes, h <= c, h
+    divides ``w - c``, and ``x[:w]`` has period h (one ``startswith``). That
+    is sound: with period h, ``x[:c]`` occurs at every multiple of h up to
+    ``w - c``, and consecutive occurrences are h <= c apart. Every step where
+    ``chain_of`` reduced a border of ``x[:w]`` to ``c = p + w % p``, p the
+    smallest period, passes it, as Fine and Wilf force h = p. A border that
+    fails it is tested with :func:`covers` on ``x[:w]``.
 
-    At the first border that fails the period test, it and the shorter
-    borders are tested in ascending order with :func:`covers` on ``x[:w]``,
-    and ``w`` is the answer when none covers. Each ``w`` is below two thirds
-    of the one before, so the walk reads O(len(x)) bytes, and on periodic
-    text the candidates are tested on one or two periods instead of the
-    whole text.
+    Each chain entry costs at most one pass over the current ``w``, and the
+    chain has O(log len(x)) entries, so the search reads O(m log m) bytes in
+    all, m = ``len(x)``. On periodic text ``w`` drops to one or two periods
+    at the first entry, and the candidates after it are tested on that
+    prefix instead of the whole text.
     """
     w = len(x)
-    for i, c in enumerate(chain):
-        if not _covers_by_period(x, c, w):
-            y = x[:w]
-            return next((b for b in reversed(chain[i:]) if covers(y, b)), w)
-        w = c
+    for c in chain:
+        if _covers_by_period(x, c, w) or covers(x[:w], c):
+            w = c
     return w
 
 

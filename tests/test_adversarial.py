@@ -149,6 +149,20 @@ def packed_charged(monkeypatch):
     return spent
 
 
+@pytest.fixture
+def covers_calls(monkeypatch):
+    """``(b, len(y))`` of every ``classical.covers(y, b)`` call."""
+    real = strreg.classical.covers
+    calls = []
+
+    def recorded(y, b):
+        calls.append((b, len(y)))
+        return real(y, b)
+
+    monkeypatch.setattr(strreg.classical, "covers", recorded)
+    return calls
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_matches_classical_routes(family):
     x = FAMILIES[family](LARGE)
@@ -200,9 +214,9 @@ def test_sources_of_candidates_agree(family, answers_by_tier):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_each_candidate_checked_once(family, bytes_compared, monkeypatch):
-    # A period's multiples are listed once; the search must not propose
-    # them again, which would spend the budget on repeated checks. With no
-    # budget to stop it, the walk checks every candidate it is given.
+    # Each proposed border is checked at most once: a border proposed twice
+    # would spend the budget on repeated checks. With no budget to stop it,
+    # the walk checks every candidate it is given.
     monkeypatch.setattr(strreg.cds, "_BUDGET_PER_BYTE", 10**9)
     x = FAMILIES[family](LARGE)
     border_cds(build_cds(x), x)
@@ -314,25 +328,29 @@ def test_cover_search_on_periodic_texts(x):
     (aab, 4),
     (lambda n: (b"abb" * (n // 3 + 1))[:n], 4),
 ], ids=("unary", "aab", "abb"))
-def test_cover_tests_stay_inside_first_chain_entry(make, cover, monkeypatch):
+def test_cover_tests_stay_inside_first_chain_entry(make, cover, covers_calls):
     # The first chain entry p + m mod p covers a text of period p, so no
     # candidate needs to be tested on more of the text than that prefix.
     x = make(10**5)
     p = period_classical(x)
     first = p + len(x) % p
     assert border_chain(x)[0] == first
-    real = strreg.classical.covers
-    calls = []
-
-    def recorded(x, b):
-        calls.append((b, len(x)))
-        return real(x, b)
-
-    monkeypatch.setattr(strreg.classical, "covers", recorded)
     for route in (shortest_cover_classical, lambda x: shortest_cover_cds(build_cds(x), x)):
-        calls.clear()
+        covers_calls.clear()
         assert route(x) == cover
-        assert all(n <= first for _, n in calls), calls
+        assert all(n <= first for _, n in covers_calls), covers_calls
+
+
+def test_cover_search_work_on_fibonacci(covers_calls):
+    # Fibonacci text's first chain entry fails the period test. A border
+    # that covers still becomes the prefix the shorter ones are tested on,
+    # so the short candidates are never tested on most of the text. A call
+    # covers(y, b) makes at most len(y) // b finds.
+    x = fibonacci(10**5)
+    for route in (shortest_cover_classical, lambda x: shortest_cover_cds(build_cds(x), x)):
+        covers_calls.clear()
+        assert route(x) == 67
+        assert sum(n // b for b, n in covers_calls) <= len(x) // 100, covers_calls
 
 
 # Runs of the packed edge cases: zero runs (adjacent pivots), and gaps of
