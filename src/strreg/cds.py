@@ -163,11 +163,10 @@ def _walker(v: CdsView, x: Text) -> Callable[[int], CdsBorderResult]:
             else:
                 yield i
                 continue
-            if hi < i * w:
-                # Longer borders start with the window that failed here: as
-                # the needle, it skips the hits that would fail the same way.
-                shorter.append(size)
-                size = hi
+            # Longer borders start with the window that failed here: as
+            # the needle, it skips the hits that would fail the same way.
+            shorter.append(size)
+            size = hi
         if runs[0] >= k:
             yield 0
 

@@ -61,7 +61,7 @@ def gen_text(spec: GenSpec) -> Text:
 
     The state of a 64-bit linear congruential generator is advanced once per
     drawn symbol; the emitted byte is ``'a' + (top 32 state bits mod
-    alphabet_size)``.
+    alphabet_size)``. A forced period p draws p symbols and repeats them.
     """
     state = spec.seed & _U64
     head = spec.length if spec.forced_period is None else spec.forced_period
@@ -70,11 +70,7 @@ def gen_text(spec: GenSpec) -> Text:
     for _ in range(head):
         state = (_LCG_MULT * state + _LCG_INC) & _U64
         append(97 + ((state >> 32) % spec.alphabet_size))
-    p = spec.forced_period
-    if p is not None:
-        for i in range(p, spec.length):
-            append(out[i - p])
-    return bytes(out)
+    return (bytes(out) * -(-spec.length // head))[: spec.length]
 
 
 def load_text(path: str | os.PathLike, prefix_len: int | None = None) -> Text:

@@ -8,6 +8,8 @@ The packed search of the distance borders must stay within its own
 allowance, and each source of candidates must give the same answers.
 """
 
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -112,6 +114,20 @@ FAMILIES = {
 }
 LARGE = 20_000
 SMALL = (1, 2, 7, 60, 255, 512)
+
+
+@contextmanager
+def fallbacks():
+    """The texts whose border array the walk builds as its fallback, in call order.
+
+    A context manager rather than a fixture, so that Hypothesis tests can
+    open one per example.
+    """
+    built = []
+    real = strreg.classical.border_array
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(strreg.classical, "border_array", lambda s: built.append(s) or real(s))
+        yield built
 
 
 @pytest.fixture
@@ -232,12 +248,10 @@ def test_binary_checks_within_budget(family, monkeypatch):
     assert len(set(x)) <= 2
     v = build_cds(x)
     b, chain = len(x) - period_classical(x), border_chain(x)
-    built = []
-    real = strreg.classical.border_array
-    monkeypatch.setattr(strreg.classical, "border_array", lambda s: built.append(s) or real(s))
     monkeypatch.setattr(strreg.cds, "_SEARCH_PER_BYTE", 10**9)
-    assert border_cds(v, x).b == b
-    assert borders_cds(v, x) == chain
+    with fallbacks() as built:
+        assert border_cds(v, x).b == b
+        assert borders_cds(v, x) == chain
     assert built == []
 
 
@@ -253,13 +267,44 @@ def test_blocked_hits_not_compared(monkeypatch):
     assert compared == []
 
 
-def test_defect_end_walk_falls_back(monkeypatch):
+@pytest.mark.parametrize("family", ("aab", "islands"))
+def test_unaligned_hits_not_checked(family, monkeypatch):
+    # A hit of the packed search that is not aligned to an entry proposes no
+    # border, so neither a comparison of the packed runs nor a text check
+    # follows it. Each search records its hit (-1 for none); each comparison
+    # or check records None.
+    events = []
+    real_find = strreg.cds._find_needle
+    real_match, real_check = strreg.cds._runs_match, strreg.cds._borders_match
+
+    def find(packed, needle, start, end):
+        h = real_find(packed, needle, start, end)
+        events.append(h)
+        return h
+
+    monkeypatch.setattr(strreg.cds, "_find_needle", find)
+    monkeypatch.setattr(strreg.cds, "_runs_match",
+                        lambda packed, window, lo: events.append(None) or real_match(packed, window, lo))
+    monkeypatch.setattr(strreg.cds, "_borders_match",
+                        lambda x, n, b: events.append(None) or real_check(x, n, b))
+    x = FAMILIES[family](LARGE)
+    v = build_cds(x)
+    w = v._entries.itemsize
+    reached = 0
+    for query in (border_cds, borders_cds):
+        events.clear()
+        query(v, x)
+        unaligned = [k for k, h in enumerate(events) if h is not None and h > 0 and h % w]
+        assert all(events[k + 1 : k + 2] != [None] for k in unaligned), query.__name__
+        reached += len(unaligned)
+    assert reached
+
+
+def test_defect_end_walk_falls_back():
     # Without the budget the walk would confirm about m/5 candidates here.
-    built = []
-    real = strreg.classical.border_array
-    monkeypatch.setattr(strreg.classical, "border_array", lambda s: built.append(s) or real(s))
     x = FAMILIES["abcab-defect-end"](LARGE)
-    assert border_cds(build_cds(x), x) == (0, -1)
+    with fallbacks() as built:
+        assert border_cds(build_cds(x), x) == (0, -1)
     assert built == [x]
 
 
@@ -271,17 +316,19 @@ def test_forced_fallback_keeps_result(x):
     v = build_cds(x)
     walked = border_cds(v, x)
     walked_chain = borders_cds(v, x)
-    real = strreg.classical.border_array
     for budget in (0, 1):
-        built = []
-        with pytest.MonkeyPatch.context() as mp:
+        with pytest.MonkeyPatch.context() as mp, fallbacks() as built:
             mp.setattr(strreg.cds, "_BUDGET_PER_BYTE", budget)
-            mp.setattr(strreg.classical, "border_array", lambda s: built.append(s) or real(s))
             assert border_cds(v, x) == walked
             assert built in ([], [x])
+            # With no budget, a walk that finds a border cannot confirm it.
+            if budget == 0 and walked.b:
+                assert built == [x]
             built.clear()
             assert borders_cds(v, x) == walked_chain
             assert built in ([], [x])
+            if budget == 0 and walked_chain:
+                assert built == [x]
     b, i_bar = walked
     if b:
         assert b == v.m - v.positions[v.m_bar - i_bar]

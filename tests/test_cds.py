@@ -118,24 +118,21 @@ class TestBorderCds:
         assert borders_cds(v, x) == [3]
         assert calls == [5997]
 
-    def test_verification_count_bounded(self):
+    def test_verification_count_bounded(self, monkeypatch):
         import random
 
         from strreg.text import GenSpec, gen_text
 
         real = strreg.cds._borders_match
         calls = []
-        strreg.cds._borders_match = lambda *a: calls.append(a) or real(*a)
-        try:
-            rng = random.Random(5150)
-            for idx in range(2000):
-                x = gen_text(GenSpec(3, rng.randint(1, 128), seed=idx))
-                v = build_cds(x)
-                calls.clear()
-                border_cds(v, x)
-                assert len(calls) <= v.m_bar + 1
-        finally:
-            strreg.cds._borders_match = real
+        monkeypatch.setattr(strreg.cds, "_borders_match", lambda *a: calls.append(a) or real(*a))
+        rng = random.Random(5150)
+        for idx in range(2000):
+            x = gen_text(GenSpec(3, rng.randint(1, 128), seed=idx))
+            v = build_cds(x)
+            calls.clear()
+            border_cds(v, x)
+            assert len(calls) <= v.m_bar + 1
 
     def test_length_mismatch_rejected(self):
         v = build_cds(b"abaa")

@@ -160,6 +160,16 @@ class TestBenchCommand:
         assert code == 1
         assert "--sizes" in err
 
+    def test_sizes_naming_no_size(self, capsys, tmp_path):
+        data_path = tmp_path / "d.bin"
+        data_path.write_bytes(b"abcabc")
+        out_path = tmp_path / "r.json"
+        code, _, err = run_cli(capsys, "bench", str(data_path), "--sizes", ",",
+                               "--out", str(out_path))
+        assert code == 1
+        assert "--sizes" in err
+        assert not out_path.exists()
+
 
 class TestExitCodes:
     def test_missing_file(self, capsys):

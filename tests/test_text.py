@@ -8,11 +8,15 @@ from strreg.text import EmptyInputError, GenSpec, gen_text, load_text
 GOLDEN_4_64_42 = b"bbbdabcbadbbaabdbcdadabdacbbacbaaabbcbddbbddccddacacdccdcdbbccda"
 
 
-def lcg_reference(alphabet_size, length, seed):
-    # Independent transcription of the generator contract.
+def lcg_reference(alphabet_size, length, seed, forced_period=None):
+    # Independent transcription of the generator contract: with a forced
+    # period p, index i >= p copies index i - p and draws nothing.
     state = seed % 2**64
     out = []
-    for _ in range(length):
+    for i in range(length):
+        if forced_period is not None and i >= forced_period:
+            out.append(out[i - forced_period])
+            continue
         state = (6364136223846793005 * state + 1442695040888963407) % 2**64
         out.append(97 + (state >> 32) % alphabet_size)
     return bytes(out)
@@ -28,6 +32,14 @@ class TestGenText:
     def test_matches_reference_recurrence(self):
         for seed in (0, 1, 42, 2**63, 2**64 - 1):
             assert gen_text(GenSpec(3, 40, seed)) == lcg_reference(3, 40, seed)
+
+    def test_forced_period_matches_reference(self):
+        for sigma in (1, 2, 3, 26, 159):
+            for length in (1, 2, 3, 7, 64, 301):
+                for p in {max(1, min(q, length)) for q in (1, 2, 5, length // 2, length - 1, length)}:
+                    for seed in (0, 42, 2**64 - 1):
+                        spec = GenSpec(sigma, length, seed, forced_period=p)
+                        assert gen_text(spec) == lcg_reference(sigma, length, seed, p), spec
 
     def test_deterministic(self):
         spec = GenSpec(alphabet_size=26, length=500, seed=7)
