@@ -13,7 +13,7 @@ to the next shorter candidate; the first confirmed one is the longest
 border.
 
 The distance borders come from a C-speed search of the view's packed gaps,
-and the walk falls back to the text's border array when either of two
+and the walk falls back to prefix searches of the text when either of two
 budgets runs out. Both budgets are shared by all calls of a walker.
 
 1. The packed search. A distance border of at least ``_NEEDLE`` entries
@@ -35,8 +35,12 @@ budgets runs out. Both budgets are shared by all calls of a walker.
    bytes.
 
 The call that would overspend either budget switches the walker, for good,
-to the classical border array of the text, which bounds every query by a
-constant factor of the classical route.
+to :func:`_longest_border`, which finds the longest border of ``x[:n]``
+with ``bytes.find`` and ``startswith`` alone: O(n) bytes read in O(log² n)
+calls, and no list of ints. It rests on the progression lemma for the
+occurrences of a string in a window shorter than twice its length, and on
+the periodicity lemma of Fine and Wilf (Crochemore and Rytter, *Text
+Algorithms*, 1994).
 
 The border chain is the classical periodicity reduction over the walker's
 answers, so a chain that runs out of budget continues from its current
@@ -47,7 +51,6 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, NamedTuple
 
-from . import classical
 # border_array and is_covering are not called here; they stay names of this
 # module because the traced benchmark (querybench/tracing.py) looks them up
 # here.
@@ -67,6 +70,9 @@ _CALL_COST = 1024
 # Entries of the packed search's first needle; shorter borders are found
 # with a one-entry needle.
 _NEEDLE = 16
+# Bytes of the fallback's first search, which bounds every border at least
+# that long.
+_PREFIX = 64
 
 
 class CdsBorderResult(NamedTuple):
@@ -91,6 +97,73 @@ def _runs_match(packed: bytes, window: memoryview, lo: int) -> bool:
     return packed.startswith(window, lo)
 
 
+def _agree(x: Text, a: int, c: int, lo: int, hi: int) -> int:
+    """The largest e in ``[lo, hi]`` with ``x[a:a + e] == x[c:c + e]``,
+    given that the first ``lo`` bytes agree.
+
+    One ``startswith`` of the whole window, then halving windows if it
+    fails: at most ``2 * (hi - lo)`` bytes read in O(log(hi - lo)) calls.
+    """
+    view = memoryview(x)
+    if x.startswith(view[a + lo : a + hi], c + lo):
+        return hi
+    hi -= 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if x.startswith(view[a + lo : a + mid], c + lo):
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+def _longest_border(x: Text, n: int) -> int:
+    """Longest proper border of ``x[:n]``, from prefix searches of the text.
+
+    One ``find`` of the first ``_PREFIX`` bytes bounds every border at least
+    that long. The borders b in a band ``[L, U)`` with ``U <= 2L`` start
+    their suffix copy at some s in ``[n - U + 1, n - L]``, where ``x[:L]``
+    occurs. In a window that short the occurrences form one progression
+    with step q, the gap between the first two, and last as long as the
+    run of period q from the first, which ends at t. With r the extent of
+    period q in the prefix, ``x[s:]`` and ``x`` agree on their first
+    ``min(t - s, r)`` bytes and, unless ``t - s == r``, differ at the next.
+    So if t = n the longest border in the band starts at the first s with
+    ``n - s <= r``, and otherwise only ``s = t - r`` can start one. Each
+    band halves U, so a call reads O(n) bytes in O(log² n) calls.
+    """
+    view = memoryview(x)
+    f = x.find(view[:_PREFIX], 1, n)
+    U = n - f + 1 if f > 0 else min(_PREFIX, n)
+    while U > 1:
+        L = (U + 1) // 2
+        needle = view[:L]
+        s1 = x.find(needle, n - U + 1, n)
+        U = L
+        if s1 < 0:
+            continue
+        s2 = x.find(needle, s1 + 1, n)
+        if s2 < 0:
+            if x.startswith(view[s1:n]):
+                return n - s1
+            continue
+        q = s2 - s1
+        # x[s1:s2 + L] has period q, and so has the needle. Past t - s1, an
+        # extent r would put t - r before s1, so r is capped one beyond.
+        t = s1 + q + _agree(x, s1 + q, s1, L, n - s1 - q)
+        r = q + _agree(x, q, 0, L - q, t - s1 + 1 - q)
+        if t == n:
+            s = max(s1, n - r)
+            s += (s1 - s) % q
+            if s <= n - L:
+                return n - s
+        else:
+            s = t - r
+            if s >= s1 and (s - s1) % q == 0 and x.startswith(view[s:n]):
+                return n - s
+    return 0
+
+
 def _require_match(v: CdsView, x: Text) -> None:
     # The caller normally passes the very object the view was built from.
     if x is not v.text and x != v.text:
@@ -111,7 +184,7 @@ def _walker(v: CdsView, x: Text) -> Callable[[int], CdsBorderResult]:
     packed, runs, pivot = v._runs, v._entries, x[:1]
     view, w = memoryview(packed), runs.itemsize
     allowance = _SEARCH_PER_BYTE * len(packed)
-    text_border = None
+    fallen = False
     budget = _BUDGET_PER_BYTE * v.m
 
     def candidates(m_bar: int, k: int) -> Iterator[int]:
@@ -171,13 +244,13 @@ def _walker(v: CdsView, x: Text) -> Callable[[int], CdsBorderResult]:
             yield 0
 
     def longest(n: int) -> CdsBorderResult:
-        nonlocal text_border, budget
+        nonlocal fallen, budget
         m_bar = x.count(pivot, 0, n) - 1 if n < v.m else len(runs)
         if m_bar < 1:
             # A border would repeat the pivot somewhere past position 0.
             return CdsBorderResult(0, -1)
         k = n - 1 - x.rfind(pivot, 0, n)
-        if text_border is None:
+        if not fallen:
             for i in candidates(m_bar, k):
                 if i < 0:
                     break
@@ -197,10 +270,8 @@ def _walker(v: CdsView, x: Text) -> Callable[[int], CdsBorderResult]:
                 return CdsBorderResult(b, i)
             else:
                 return CdsBorderResult(0, -1)
-            # The fallback. It is looked up in classical, not here, so the
-            # traced benchmark does not count it as the distance array.
-            text_border = classical.border_array(x)
-        b = text_border[n]
+            fallen = True
+        b = _longest_border(x, n)
         # The suffix copy of a border starts at pivot index m_bar - i_bar. With
         # no border the count takes in every pivot, which gives -1.
         return CdsBorderResult(b, m_bar - x.count(pivot, 0, n - b))
@@ -213,8 +284,8 @@ def border_cds(v: CdsView, x: Text, check_chars: bool = True) -> CdsBorderResult
 
     Every candidate is verified in the text, on every alphabet;
     ``check_chars`` has no effect and is kept only so existing callers still
-    run. A walk that runs out of budget is answered from the classical border
-    array, with the same result.
+    run. A walk that runs out of budget is answered from prefix searches of
+    the text, with the same result.
     """
     return _walker(v, x)(v.m)
 

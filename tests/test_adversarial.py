@@ -5,9 +5,12 @@ chains. On them the sampled route must agree with the classical route and
 with the oracles, and its character checks must stay within the per-query
 budget of bytes compared, whatever the walk would otherwise have confirmed.
 The packed search of the distance borders must stay within its own
-allowance, and each source of candidates must give the same answers.
+allowance, and each source of candidates must give the same answers. The
+walk's fallback, prefix searches of the text, must read O(n) bytes in
+O(log² n) calls.
 """
 
+import math
 from contextlib import contextmanager
 
 import pytest
@@ -18,6 +21,7 @@ import strreg.cds
 import strreg.classical
 from strreg.cds import border_cds, borders_cds, period_cds, shortest_cover_cds
 from strreg.classical import (
+    border_array,
     border_chain,
     covers,
     is_covering,
@@ -118,15 +122,15 @@ SMALL = (1, 2, 7, 60, 255, 512)
 
 @contextmanager
 def fallbacks():
-    """The texts whose border array the walk builds as its fallback, in call order.
+    """The prefix lengths n that the walk's fallback answers, in call order.
 
     A context manager rather than a fixture, so that Hypothesis tests can
     open one per example.
     """
     built = []
-    real = strreg.classical.border_array
+    real = strreg.cds._longest_border
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(strreg.classical, "border_array", lambda s: built.append(s) or real(s))
+        mp.setattr(strreg.cds, "_longest_border", lambda x, n: built.append(n) or real(x, n))
         yield built
 
 
@@ -305,30 +309,78 @@ def test_defect_end_walk_falls_back():
     x = FAMILIES["abcab-defect-end"](LARGE)
     with fallbacks() as built:
         assert border_cds(build_cds(x), x) == (0, -1)
-    assert built == [x]
+    assert built == [len(x)]
 
 
-# At budget 1 this text rejects one candidate, confirms border 3 and falls
-# back on the next subject of its chain, [3, 1].
+class CountingText(bytes):
+    """A text that counts the ``find`` and ``startswith`` calls made on it,
+    and the bytes each may read: a find's whole window, a prefix's length."""
+
+    calls = read = 0
+
+    def find(self, sub, start, end):
+        self.calls += 1
+        self.read += end - start
+        return super().find(sub, start, end)
+
+    def startswith(self, prefix, start=0):
+        self.calls += 1
+        self.read += len(prefix)
+        return super().startswith(prefix, start)
+
+
+@pytest.mark.parametrize("n", (10**5, 10**6))
+@pytest.mark.parametrize("family", ("abcab-defect-start", "abcab-defect-end",
+                                    "unary-defect-tail", "period-1000-pivot-defect"))
+def test_fallback_work_is_linear(family, n):
+    # The families whose walk falls back. The fallback reads O(n) bytes in
+    # O(log² n) calls, whatever the text.
+    x = FAMILIES[family](n)
+    counted = CountingText(x)
+    assert strreg.cds._longest_border(counted, n) == n - period_classical(x)
+    assert counted.calls <= 4 * math.log2(n) ** 2
+    assert counted.read <= 16 * n
+
+
+# The chain of this text is [3, 1]. At budgets 0 and 1 its walk falls back
+# on the whole text, and answers the next subject, 3, from the text too.
 @example(b"abaacaaba")
 @given(st.text(alphabet="abc", min_size=1, max_size=96).map(str.encode))
 def test_forced_fallback_keeps_result(x):
     v = build_cds(x)
-    walked = border_cds(v, x)
+    checked = []
+    real_check = strreg.cds._borders_match
+    with pytest.MonkeyPatch.context() as mp, fallbacks() as built:
+        mp.setattr(strreg.cds, "_borders_match",
+                   lambda x, n, b: checked.append(b) or real_check(x, n, b))
+        walked = border_cds(v, x)
+    # Whether the walk had a candidate, checked or not; with no budget it
+    # falls back on the first one.
+    reached = bool(checked or built)
     walked_chain = borders_cds(v, x)
+    # The subjects of the chain that hold a second pivot; the walk answers
+    # the others before any fallback. Once fallen back, it answers all the
+    # later ones from the text.
+    subjects = [n for n in (v.m, *walked_chain) if x.count(x[:1], 0, n) > 1]
     for budget in (0, 1):
         with pytest.MonkeyPatch.context() as mp, fallbacks() as built:
             mp.setattr(strreg.cds, "_BUDGET_PER_BYTE", budget)
             assert border_cds(v, x) == walked
-            assert built in ([], [x])
+            if budget == 0:
+                assert built == [v.m] * reached
+            else:
+                assert built in ([], [v.m] * reached)
             # With no budget, a walk that finds a border cannot confirm it.
             if budget == 0 and walked.b:
-                assert built == [x]
+                assert built == [v.m]
             built.clear()
             assert borders_cds(v, x) == walked_chain
-            assert built in ([], [x])
+            if budget == 0:
+                assert built == subjects * reached
+            else:
+                assert built == subjects[len(subjects) - len(built):]
             if budget == 0 and walked_chain:
-                assert built == [x]
+                assert built == subjects
     b, i_bar = walked
     if b:
         assert b == v.m - v.positions[v.m_bar - i_bar]
@@ -361,6 +413,28 @@ def periodic_with_defects(draw):
     for _ in range(draw(st.integers(0, 2))):
         x[draw(st.integers(0, m - 1))] = draw(st.sampled_from(b"abcdz"))
     return bytes(x)
+
+
+@st.composite
+def long_periodic_with_defects(draw):
+    """A unit of 1-60 letters over 1-4 symbols, repeated and cut to 1-3000
+    bytes, with 0-2 bytes replaced."""
+    letters = b"abcd"[: draw(st.integers(1, 4))]
+    unit = bytes(draw(st.lists(st.sampled_from(letters), min_size=1, max_size=60)))
+    m = draw(st.integers(1, 3000))
+    x = bytearray((unit * (m // len(unit) + 1))[:m])
+    for _ in range(draw(st.integers(0, 2))):
+        x[draw(st.integers(0, m - 1))] = draw(st.sampled_from(letters + b"z"))
+    return bytes(x)
+
+
+@given(long_periodic_with_defects(), st.data())
+def test_fallback_on_long_periodic_texts(x, data):
+    # Long bands, which the exhaustive small strings never reach.
+    m = len(x)
+    expected = border_array(x)
+    for n in {m, max(1, m - 1), data.draw(st.integers(1, m))}:
+        assert strreg.cds._longest_border(x, n) == expected[n], n
 
 
 @given(periodic_with_defects())

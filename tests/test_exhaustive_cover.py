@@ -8,7 +8,10 @@ cover, and it must equal the oracle up to length 12. Random fuzz rarely
 reaches the short texts whose chains mix reduced and plain steps; here every
 one of them is run. For the longest border and the chain: over two letters
 up to length 14 and over three up to length 9, with the sampled walk
-confined to its packed search and needles of 1, 2 and 16 entries.
+confined to its packed search and needles of 1, 2 and 16 entries, and
+again with every candidate sent to the walk's fallback. The fallback is
+also run on its own on every prefix of those strings, with its first
+search of 1, 2, 3 and 64 bytes.
 """
 
 import pytest
@@ -50,15 +53,34 @@ def test_cover_routes_agree_on_every_small_string(sigma, max_len, count):
     assert seen == count
 
 
-@pytest.mark.parametrize("needle", (1, 2, 16))
-def test_border_routes_agree_on_every_small_string(needle, monkeypatch):
+@pytest.mark.parametrize("tier, needle", [
+    pytest.param("packed", 1, id="1"),
+    pytest.param("packed", 2, id="2"),
+    pytest.param("packed", 16, id="16"),
+    pytest.param("text-array", strreg.cds._NEEDLE, id="text-array"),
+])
+def test_border_routes_agree_on_every_small_string(tier, needle, monkeypatch):
     # Under the default settings, texts this short have too few pivots for
     # the search's allowance and fall back before any search; the packed
-    # tier keeps the walk on its own candidates.
-    for name, value in TIERS["packed"].items():
+    # tier keeps the walk on its own candidates, and the text-array tier
+    # sends every query with a candidate to the fallback.
+    for name, value in TIERS[tier].items():
         monkeypatch.setattr(strreg.cds, name, value)
     monkeypatch.setattr(strreg.cds, "_NEEDLE", needle)
     for x in (*canonical(2, 14), *canonical(3, 9)):
         v = build_cds(x)
         assert border_cds(v, x).b == border_array(x)[len(x)], x
         assert borders_cds(v, x) == border_chain(x), x
+
+
+@pytest.mark.parametrize("prefix", (1, 2, 3, strreg.cds._PREFIX))
+def test_fallback_on_every_prefix(prefix, monkeypatch):
+    # Each string of the longest length, at every n: its prefixes are every
+    # shorter string, and no byte past n may change the answer.
+    monkeypatch.setattr(strreg.cds, "_PREFIX", prefix)
+    for sigma, max_len in ((2, 14), (3, 9)):
+        for x in canonical(sigma, max_len):
+            if len(x) == max_len:
+                expected = border_array(x)
+                for n in range(1, max_len + 1):
+                    assert strreg.cds._longest_border(x, n) == expected[n], (x, n)
