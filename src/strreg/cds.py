@@ -12,44 +12,31 @@ comparison of the text, whatever the alphabet. A failed comparison moves on
 to the next shorter candidate; the first confirmed one is the longest
 border.
 
-The distance borders come from a C-speed search of the view's packed gaps,
-and the walk falls back to prefix searches of the text when either of two
-budgets runs out. Both budgets are shared by all calls of a walker.
-
-1. The packed search. A distance border of at least ``_NEEDLE`` entries
-   starts with the first ``_NEEDLE`` entries, so a ``bytes.find`` of those
-   proposes it; only hits aligned to an entry count, and a hit blocked by
-   the tail is passed over unconfirmed. Each other hit is confirmed by
-   comparing the packed encodings in doubling windows, so a mismatch costs
-   about its offset. A window that fails becomes the needle for the longer
-   borders, which skips the hits that would fail the same way. A confirmed
-   border is passed on and the search resumes past its hit. The needle
-   sizes set aside end in a one-entry needle, so borders shorter than the
-   first needle are proposed, filtered and confirmed the same way. Every
-   call is charged ``_CALL_COST`` plus the bytes it scanned or compared, hit
-   or not, against an allowance of ``_SEARCH_PER_BYTE`` bytes per byte of
-   packed gaps.
-2. The character checks. Each costs up to the candidate's length, and on
-   periodic text with a defect the walk confirms a long run of failing
-   candidates, so they have their own budget of ``_BUDGET_PER_BYTE * m``
-   bytes.
-
-The call that would overspend either budget switches the walker, for good,
-to :func:`_longest_border`, which finds the longest border of ``x[:n]``
-with ``bytes.find`` and ``startswith`` alone: O(n) bytes read in O(log² n)
-calls, and no list of ints. It rests on the progression lemma for the
-occurrences of a string in a window shorter than twice its length, and on
-the periodicity lemma of Fine and Wilf (Crochemore and Rytter, *Text
-Algorithms*, 1994).
+The distance borders come from a C-speed search of the view's packed gaps.
+A distance border of at least ``_NEEDLE`` entries starts with the first
+``_NEEDLE`` entries, so a ``bytes.find`` of those proposes it; where that
+needle no longer fits, a one-entry needle proposes the shorter borders, and
+the empty distance border comes last. Only hits aligned to an entry count,
+and a hit blocked by the tail is passed over unchecked. Every ``find`` and
+every character check is charged ``_CALL_COST`` plus the bytes it may read
+against one budget per walker, :func:`_budget`: ``_BUDGET_PER_BYTE`` bytes
+per byte of text plus a floor of 32 calls, so short texts are searched too.
+A query the budget cannot pay for is answered by :func:`_longest_border`,
+which finds the longest border of ``x[:n]`` with ``bytes.find`` and
+``startswith`` alone: O(n) bytes read in O(log² n) calls, and no list of
+ints. It rests on the progression lemma for the occurrences of a string in
+a window shorter than twice its length, and on the periodicity lemma of Fine
+and Wilf (Crochemore and Rytter, *Text Algorithms*, 1994). So a walker
+spends at most its budget plus one fallback per query.
 
 The border chain is the classical periodicity reduction over the walker's
-answers, so a chain that runs out of budget continues from its current
-subject.
+answers. After a fallback the next subject of the chain walks on with what
+is left of the budget.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 # border_array and is_covering are not called here; they stay names of this
 # module because the traced benchmark (querybench/tracing.py) looks them up
@@ -59,13 +46,11 @@ from .classical import border_array, is_covering  # noqa: F401
 from .sampling import CdsView
 from .text import Text
 
-# Bytes a walker may compare in character checks, per byte of text.
+# Bytes a walker may scan or compare, per byte of text.
 _BUDGET_PER_BYTE = 4
-# Bytes the packed search may scan or compare, per byte of packed gaps.
-_SEARCH_PER_BYTE = 8
-# Bytes charged to that allowance per call of the packed search, for the
-# interpreter's work around it: on a 2-core x86-64 box under CPython 3.11, a
-# call costs about 1 us and a byte scanned by ``find`` about 1.3 ns.
+# Bytes charged per call of the walk, for the interpreter's work around it:
+# on a 2-core x86-64 box under CPython 3.11, a call costs about 1 us and a
+# byte scanned by ``find`` about 1.3 ns.
 _CALL_COST = 1024
 # Entries of the packed search's first needle; shorter borders are found
 # with a one-entry needle.
@@ -92,9 +77,9 @@ def _find_needle(packed: bytes, needle: bytes, start: int, end: int) -> int:
     return packed.find(needle, start, end)
 
 
-def _runs_match(packed: bytes, window: memoryview, lo: int) -> bool:
-    """Whether ``packed`` holds ``window`` at offset ``lo``, copying nothing."""
-    return packed.startswith(window, lo)
+def _budget(m: int) -> int:
+    """Bytes a walker over a text of ``m`` bytes may charge to its calls."""
+    return _BUDGET_PER_BYTE * m + 32 * _CALL_COST
 
 
 def _agree(x: Text, a: int, c: int, lo: int, hi: int) -> int:
@@ -177,100 +162,57 @@ def _walker(v: CdsView, x: Text) -> Callable[[int], CdsBorderResult]:
 
     The distance sequence of a prefix is the first ``m_bar`` entries of the
     view's, with ``m_bar + 1`` pivots below ``n``, so the view's packed gaps
-    serve every prefix. See the module docstring for the two sources of
-    candidates and their budgets.
+    serve every prefix. See the module docstring for the candidates and the
+    one budget that every call of the walker is charged against.
     """
     _require_match(v, x)
     packed, runs, pivot = v._runs, v._entries, x[:1]
     view, w = memoryview(packed), runs.itemsize
-    allowance = _SEARCH_PER_BYTE * len(packed)
-    fallen = False
-    budget = _BUDGET_PER_BYTE * v.m
+    budget = _budget(v.m)
 
-    def candidates(m_bar: int, k: int) -> Iterator[int]:
-        # The distance borders of the prefix that clear the tail, longest
-        # first, then -1 if the allowance ran out before they were all
-        # found. Offsets are in bytes of ``packed``; a hit at h proposes the
-        # border of i = m_bar - h/w entries, which starts with the needle.
-        # Borders whose suffix copy starts below ``start`` are settled.
-        nonlocal allowance
+    def longest(n: int) -> CdsBorderResult:
+        nonlocal budget
+        m_bar = x.count(pivot, 0, n) - 1 if n < v.m else len(runs)
+        if m_bar < 1:
+            # A border would repeat the pivot somewhere past position 0.
+            return CdsBorderResult(0, -1)
+        k = n - 1 - x.rfind(pivot, 0, n)
+        # Offsets are in bytes of ``packed``; a hit at h proposes the border
+        # of i = m_bar - h/w entries, which starts with the needle. Borders
+        # whose suffix copy starts below ``start`` are settled.
         end = m_bar * w
         start, size = w, _NEEDLE * w
-        # Needle sizes set aside, for borders shorter than ``size``; the
-        # one-entry needle at the bottom proposes the shortest ones.
-        shorter = [w]
-        while True:
-            h, limit = -1, end
+        while start <= end:
             if start + size <= end:
-                # Search only as far as the allowance pays for.
-                limit = min(end, start + allowance - _CALL_COST)
-                if limit - start >= size:
-                    h = _find_needle(packed, view[:size], start, limit)
-                    allowance -= _CALL_COST + (h + size if h >= 0 else limit) - start
-            if h < 0:
-                if limit < end:
-                    yield -1
-                    return
-                if not shorter:
+                if _CALL_COST + end - start > budget:
                     break
+                h = _find_needle(packed, view[:size], start, end)
+                budget -= _CALL_COST + (h + size if h >= 0 else end) - start
+            else:
+                # The needle no longer fits. Past the one-entry needle only
+                # the empty distance border, i = 0, is left.
+                h = -1 if size > w else end
+            if h < 0:
                 # Borders shorter than this needle start where it no longer fits.
-                start, size = max(start, end - size + w), shorter.pop()
+                start, size = max(start, end - size + w), w
                 continue
             start = h - h % w + w
             i = m_bar - h // w
             if h % w or runs[i] < k:
                 # Unaligned, or blocked by the tail whether a border or not.
                 continue
-            # The needle matched the border's first entries; compare the
-            # rest in doubling windows, so a mismatch costs about its offset.
-            lo = size
-            while lo < i * w:
-                hi = min(2 * lo, i * w)
-                if _CALL_COST + hi - lo > allowance:
-                    yield -1
-                    return
-                allowance -= _CALL_COST + hi - lo
-                if not _runs_match(packed, view[h + lo : h + hi], lo):
-                    break
-                lo = hi
-            else:
-                yield i
-                continue
-            # Longer borders start with the window that failed here: as
-            # the needle, it skips the hits that would fail the same way.
-            shorter.append(size)
-            size = hi
-        if runs[0] >= k:
-            yield 0
-
-    def longest(n: int) -> CdsBorderResult:
-        nonlocal fallen, budget
-        m_bar = x.count(pivot, 0, n) - 1 if n < v.m else len(runs)
-        if m_bar < 1:
-            # A border would repeat the pivot somewhere past position 0.
-            return CdsBorderResult(0, -1)
-        k = n - 1 - x.rfind(pivot, 0, n)
-        if not fallen:
-            for i in candidates(m_bar, k):
-                if i < 0:
-                    break
-                # b = k + 1 + P_i, or n - P_j at the suffix copy's start
-                # j = m_bar - i; the shorter sum is taken.
-                j = m_bar - i
-                if i <= j:
-                    b = k + 1 + i + sum(runs[:i])
-                else:
-                    b = n - j - sum(runs[:j])
-                assert 0 < b < n
-                if b > budget:
-                    break
-                budget -= b
-                if not _borders_match(x, n, b):
-                    continue
+            # b = k + 1 + P_i, or n - P_j at the suffix copy's start
+            # j = m_bar - i; the shorter sum is taken.
+            j = m_bar - i
+            b = k + 1 + i + sum(runs[:i]) if i <= j else n - j - sum(runs[:j])
+            assert 0 < b < n
+            if _CALL_COST + b > budget:
+                break
+            budget -= _CALL_COST + b
+            if _borders_match(x, n, b):
                 return CdsBorderResult(b, i)
-            else:
-                return CdsBorderResult(0, -1)
-            fallen = True
+        else:
+            return CdsBorderResult(0, -1)
         b = _longest_border(x, n)
         # The suffix copy of a border starts at pivot index m_bar - i_bar. With
         # no border the count takes in every pivot, which gives -1.

@@ -19,14 +19,13 @@ def english_like_1e6():
 
 
 # Settings of strreg.cds that confine the sampled walk to one source of
-# candidates: the packed search alone, or the text's border array, reached
-# either at the first search (no allowance) or at the first character check
-# (no budget).
+# answers: the packed search and its text checks alone, with a budget that
+# never runs out, or the fallback's prefix searches of the text, with no
+# budget at all.
 TIERS = {
     "default": {},
-    "packed": {"_SEARCH_PER_BYTE": 10**9, "_BUDGET_PER_BYTE": 10**9},
-    "no-allowance": {"_SEARCH_PER_BYTE": 0, "_BUDGET_PER_BYTE": 10**9},
-    "text-array": {"_BUDGET_PER_BYTE": 0},
+    "walk": {"_budget": lambda m: 10**18},
+    "fallback": {"_budget": lambda m: 0},
 }
 
 

@@ -2,12 +2,11 @@
 
 Periodic and near-periodic texts give the distance sequence long border
 chains. On them the sampled route must agree with the classical route and
-with the oracles, and its character checks must stay within the per-query
-budget of bytes compared, whatever the walk would otherwise have confirmed.
-The packed search of the distance borders must stay within its own
-allowance, and each source of candidates must give the same answers. The
-walk's fallback, prefix searches of the text, must read O(n) bytes in
-O(log² n) calls.
+with the oracles. The walk's searches of the packed distances and its
+character checks must stay within the walker's one budget, whatever the walk
+would otherwise have checked, and each source of answers must give the same
+ones. The walk's fallback, prefix searches of the text, must read O(n) bytes
+in O(log² n) calls.
 """
 
 import math
@@ -19,6 +18,7 @@ from hypothesis import strategies as st
 
 import strreg.cds
 import strreg.classical
+from conftest import TIERS
 from strreg.cds import border_cds, borders_cds, period_cds, shortest_cover_cds
 from strreg.classical import (
     border_array,
@@ -79,8 +79,8 @@ def islands(n):
 
 
 def unary_defect_tail(n):
-    # a^h b a^h' c: the tail blocks every distance border, and confirming
-    # them all would cost the packed search ~m^2 bytes.
+    # a^h b a^h' c: the tail blocks every distance border, and the packed
+    # search would pass over one hit per entry.
     h = n // 2
     return (b"a" * h + b"b" + b"a" * (n - h - 2) + b"c")[:n]
 
@@ -150,9 +150,9 @@ def bytes_compared(monkeypatch):
 
 @pytest.fixture
 def packed_charged(monkeypatch):
-    """Per-query work of the packed search: per call, its bytes and the call cost."""
+    """Per-query work of the packed search: per ``find``, its bytes and the call cost."""
     call = strreg.cds._CALL_COST
-    real_find, real_match = strreg.cds._find_needle, strreg.cds._runs_match
+    real_find = strreg.cds._find_needle
     spent = []
 
     def find(packed, needle, start, end):
@@ -160,12 +160,7 @@ def packed_charged(monkeypatch):
         spent.append(call + (h + len(needle) if h >= 0 else end) - start)
         return h
 
-    def match(packed, window, lo):
-        spent.append(call + len(window))
-        return real_match(packed, window, lo)
-
     monkeypatch.setattr(strreg.cds, "_find_needle", find)
-    monkeypatch.setattr(strreg.cds, "_runs_match", match)
     return spent
 
 
@@ -203,9 +198,10 @@ def test_matches_oracles(family):
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_bytes_compared_within_budget(family, bytes_compared, packed_charged):
+    # Each character check is charged the call cost and its length.
     x = FAMILIES[family](LARGE)
     v = build_cds(x)
-    allowance = strreg.cds._SEARCH_PER_BYTE * len(v._runs)
+    budget, call = strreg.cds._budget(len(x)), strreg.cds._CALL_COST
     queries = (
         lambda: border_cds(v, x),
         lambda: borders_cds(v, x),
@@ -215,8 +211,7 @@ def test_bytes_compared_within_budget(family, bytes_compared, packed_charged):
         bytes_compared.clear()
         packed_charged.clear()
         query()
-        assert sum(bytes_compared) <= 4 * len(x)
-        assert sum(packed_charged) <= allowance
+        assert sum(packed_charged) + sum(call + b for b in bytes_compared) <= budget
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -237,49 +232,64 @@ def test_each_candidate_checked_once(family, bytes_compared, monkeypatch):
     # Each proposed border is checked at most once: a border proposed twice
     # would spend the budget on repeated checks. With no budget to stop it,
     # the walk checks every candidate it is given.
-    monkeypatch.setattr(strreg.cds, "_BUDGET_PER_BYTE", 10**9)
+    monkeypatch.setattr(strreg.cds, "_budget", TIERS["walk"]["_budget"])
     x = FAMILIES[family](LARGE)
     border_cds(build_cds(x), x)
     assert len(set(bytes_compared)) == len(bytes_compared)
 
 
 @pytest.mark.parametrize("family", ("unary", "fibonacci", "thue-morse", "aab", "islands"))
-def test_binary_checks_within_budget(family, monkeypatch):
-    # Binary texts are checked like any other. Their first candidate that
-    # clears the tail is a border, so with the packed search given all the
-    # allowance it needs, the checks never spend the budget.
+def test_binary_checks_within_budget(family, bytes_compared, packed_charged, monkeypatch):
+    # Binary texts are checked like any other, within the budget. On them
+    # the distances and the tail fix the text, so a candidate passes its
+    # character check exactly when its distance border holds.
     x = FAMILIES[family](LARGE)
     assert len(set(x)) <= 2
-    v = build_cds(x)
-    b, chain = len(x) - period_classical(x), border_chain(x)
-    monkeypatch.setattr(strreg.cds, "_SEARCH_PER_BYTE", 10**9)
-    with fallbacks() as built:
-        assert border_cds(v, x).b == b
-        assert borders_cds(v, x) == chain
-    assert built == []
+    v, pivot = build_cds(x), x[:1]
+    d = v.distances
+    real = strreg.cds._borders_match
+
+    def check(x, n, b):
+        passed = real(x, n, b)
+        m_bar, i = x.count(pivot, 0, n) - 1, x.count(pivot, 0, b) - 1
+        assert passed == (d[:i] == d[m_bar - i : m_bar]), (n, b)
+        return passed
+
+    monkeypatch.setattr(strreg.cds, "_borders_match", check)
+    budget, call = strreg.cds._budget(len(x)), strreg.cds._CALL_COST
+    queries = (
+        (lambda: border_cds(v, x).b, len(x) - period_classical(x)),
+        (lambda: borders_cds(v, x), border_chain(x)),
+    )
+    for query, want in queries:
+        packed_charged.clear()
+        bytes_compared.clear()
+        assert query() == want
+        assert bytes_compared
+        assert sum(packed_charged) + sum(call + b for b in bytes_compared) <= budget
 
 
 def test_blocked_hits_not_compared(monkeypatch):
-    # The tail blocks every distance border of a^h b a^h' c, so the packed
-    # search passes its hits over without comparing them.
-    compared = []
-    real = strreg.cds._runs_match
-    monkeypatch.setattr(strreg.cds, "_runs_match",
-                        lambda packed, window, lo: compared.append(lo) or real(packed, window, lo))
+    # The tail blocks every distance border of a^h b a^h' c, so the walk
+    # passes the packed search's hits over without a character check.
+    searched, checked = [], []
+    real_find, real_check = strreg.cds._find_needle, strreg.cds._borders_match
+    monkeypatch.setattr(strreg.cds, "_find_needle",
+                        lambda *a: searched.append(a[2]) or real_find(*a))
+    monkeypatch.setattr(strreg.cds, "_borders_match",
+                        lambda x, n, b: checked.append(b) or real_check(x, n, b))
     x = unary_defect_tail(LARGE)
     assert border_cds(build_cds(x), x) == (0, -1)
-    assert compared == []
+    assert searched and checked == []
 
 
 @pytest.mark.parametrize("family", ("aab", "islands"))
 def test_unaligned_hits_not_checked(family, monkeypatch):
     # A hit of the packed search that is not aligned to an entry proposes no
-    # border, so neither a comparison of the packed runs nor a text check
-    # follows it. Each search records its hit (-1 for none); each comparison
-    # or check records None.
+    # border, so no text check follows it. Each search records its hit (-1
+    # for none); each check records None.
     events = []
-    real_find = strreg.cds._find_needle
-    real_match, real_check = strreg.cds._runs_match, strreg.cds._borders_match
+    real_find, real_check = strreg.cds._find_needle, strreg.cds._borders_match
 
     def find(packed, needle, start, end):
         h = real_find(packed, needle, start, end)
@@ -287,8 +297,6 @@ def test_unaligned_hits_not_checked(family, monkeypatch):
         return h
 
     monkeypatch.setattr(strreg.cds, "_find_needle", find)
-    monkeypatch.setattr(strreg.cds, "_runs_match",
-                        lambda packed, window, lo: events.append(None) or real_match(packed, window, lo))
     monkeypatch.setattr(strreg.cds, "_borders_match",
                         lambda x, n, b: events.append(None) or real_check(x, n, b))
     x = FAMILIES[family](LARGE)
@@ -342,51 +350,59 @@ def test_fallback_work_is_linear(family, n):
     assert counted.read <= 16 * n
 
 
-# The chain of this text is [3, 1]. At budgets 0 and 1 its walk falls back
-# on the whole text, and answers the next subject, 3, from the text too.
-@example(b"abaacaaba")
-@given(st.text(alphabet="abc", min_size=1, max_size=96).map(str.encode))
-def test_forced_fallback_keeps_result(x):
-    v = build_cds(x)
-    checked = []
-    real_check = strreg.cds._borders_match
+# The chain of this text is [3, 1]. With no budget its walk falls back on
+# the whole text and on the next subject, 3; the last subject, 1, holds no
+# second pivot.
+@example(b"abaacaaba", 0)
+@given(st.text(alphabet="abc", min_size=1, max_size=96).map(str.encode),
+       st.integers(0, 8 * strreg.cds._CALL_COST))
+def test_forced_fallback_keeps_result(x, budget):
+    v, pivot = build_cds(x), x[:1]
+    walked, walked_chain = border_cds(v, x), borders_cds(v, x)
+
+    def searched(n):
+        # Whether the walk of x[:n] makes a find or a character check: not
+        # without a second pivot, nor when its only candidate, the empty
+        # distance border, is blocked by the tail.
+        m_bar = x.count(pivot, 0, n) - 1
+        return m_bar > 1 or m_bar == 1 and v.distances[0] > n - 1 - x.rfind(pivot, 0, n)
+
+    subjects = [n for n in (v.m, *walked_chain) if searched(n)]
     with pytest.MonkeyPatch.context() as mp, fallbacks() as built:
-        mp.setattr(strreg.cds, "_borders_match",
-                   lambda x, n, b: checked.append(b) or real_check(x, n, b))
-        walked = border_cds(v, x)
-    # Whether the walk had a candidate, checked or not; with no budget it
-    # falls back on the first one.
-    reached = bool(checked or built)
-    walked_chain = borders_cds(v, x)
-    # The subjects of the chain that hold a second pivot; the walk answers
-    # the others before any fallback. Once fallen back, it answers all the
-    # later ones from the text.
-    subjects = [n for n in (v.m, *walked_chain) if x.count(x[:1], 0, n) > 1]
-    for budget in (0, 1):
-        with pytest.MonkeyPatch.context() as mp, fallbacks() as built:
-            mp.setattr(strreg.cds, "_BUDGET_PER_BYTE", budget)
-            assert border_cds(v, x) == walked
-            if budget == 0:
-                assert built == [v.m] * reached
-            else:
-                assert built in ([], [v.m] * reached)
-            # With no budget, a walk that finds a border cannot confirm it.
-            if budget == 0 and walked.b:
-                assert built == [v.m]
-            built.clear()
-            assert borders_cds(v, x) == walked_chain
-            if budget == 0:
-                assert built == subjects * reached
-            else:
-                assert built == subjects[len(subjects) - len(built):]
-            if budget == 0 and walked_chain:
-                assert built == subjects
+        mp.setattr(strreg.cds, "_budget", lambda m: budget)
+        assert border_cds(v, x) == walked
+        if budget == 0:
+            assert built == subjects[:1]
+        else:
+            assert built in ([], subjects[:1])
+        built.clear()
+        assert borders_cds(v, x) == walked_chain
+        # A walk that falls back on one subject walks the next with what is
+        # left of the budget, so the fallbacks are some of the subjects, in
+        # order; with no budget, all of them.
+        if budget == 0:
+            assert built == subjects
+        else:
+            rest = iter(subjects)
+            assert all(n in rest for n in built)
     b, i_bar = walked
     if b:
         assert b == v.m - v.positions[v.m_bar - i_bar]
         assert x[:b] == x[v.m - b :]
     else:
         assert i_bar == -1
+
+
+def test_walk_resumes_after_fallback():
+    # The chain of aaabaa is [2, 1]. A budget of three calls and 16 bytes pays
+    # for one search and one failed check on the whole text, whose walk then
+    # falls back; what is left pays for the one check of the next subject.
+    x = b"aaabaa"
+    v = build_cds(x)
+    with pytest.MonkeyPatch.context() as mp, fallbacks() as built:
+        mp.setattr(strreg.cds, "_budget", lambda m: 3 * strreg.cds._CALL_COST + 16)
+        assert borders_cds(v, x) == [2, 1]
+    assert built == [6]
 
 
 @given(st.text(alphabet="ab", min_size=1, max_size=64).map(str.encode) | st.binary(min_size=1, max_size=64),

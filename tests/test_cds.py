@@ -165,6 +165,32 @@ class TestPeriodCds:
         assert period_cds(build_cds(x), x) == naive_period(x)
 
 
+    def test_fuzz_queries_reach_the_walk(self, monkeypatch):
+        # The texts of the acceptance gate's oracle fuzz, drawn the same way:
+        # the budget's floor must let the walk, not its fallback, answer
+        # nearly all of their period queries.
+        import random
+
+        from strreg.text import GenSpec, gen_text
+
+        fallbacks = []
+        real = strreg.cds._longest_border
+        monkeypatch.setattr(strreg.cds, "_longest_border",
+                            lambda x, n: fallbacks.append(n) or real(x, n))
+        rng = random.Random(20260810)
+        cases, fell = 8000, 0
+        for idx in range(cases):
+            sigma = (2, 3, 4, 26)[idx % 4]
+            m = rng.randint(1, 512) if idx % 2 else rng.randint(1, 64)
+            forced = rng.randint(1, m) if idx % 5 == 0 else None
+            x = gen_text(GenSpec(sigma, m, seed=idx, forced_period=forced))
+            rng.randint(1, m)  # the fuzz's occurrence length, kept in step
+            fallbacks.clear()
+            assert period_cds(build_cds(x), x) == naive_period(x)
+            fell += bool(fallbacks)
+        assert fell <= 0.05 * cases, fell
+
+
 class TestBordersCds:
     @pytest.mark.parametrize(
         "x,expected",

@@ -7,11 +7,12 @@ three up to length 10 (14 767). Both routes must give the same shortest
 cover, and it must equal the oracle up to length 12. Random fuzz rarely
 reaches the short texts whose chains mix reduced and plain steps; here every
 one of them is run. For the longest border and the chain: over two letters
-up to length 14 and over three up to length 9, with the sampled walk
-confined to its packed search and needles of 1, 2 and 16 entries, and
-again with every candidate sent to the walk's fallback. The fallback is
-also run on its own on every prefix of those strings, with its first
-search of 1, 2, 3 and 64 bytes.
+up to length 14 and over three up to length 9: under the default settings,
+with the sampled walk given a budget that never runs out and needles of 1,
+2 and 16 entries, and again with every query that needs a search or a
+check sent to the walk's fallback. The fallback is also run on its own on
+every prefix of those strings, with its first search of 1, 2, 3 and 64
+bytes.
 """
 
 import pytest
@@ -54,16 +55,17 @@ def test_cover_routes_agree_on_every_small_string(sigma, max_len, count):
 
 
 @pytest.mark.parametrize("tier, needle", [
-    pytest.param("packed", 1, id="1"),
-    pytest.param("packed", 2, id="2"),
-    pytest.param("packed", 16, id="16"),
-    pytest.param("text-array", strreg.cds._NEEDLE, id="text-array"),
+    pytest.param("default", strreg.cds._NEEDLE, id="default"),
+    pytest.param("walk", 1, id="1"),
+    pytest.param("walk", 2, id="2"),
+    pytest.param("walk", 16, id="16"),
+    pytest.param("fallback", strreg.cds._NEEDLE, id="fallback"),
 ])
 def test_border_routes_agree_on_every_small_string(tier, needle, monkeypatch):
-    # Under the default settings, texts this short have too few pivots for
-    # the search's allowance and fall back before any search; the packed
-    # tier keeps the walk on its own candidates, and the text-array tier
-    # sends every query with a candidate to the fallback.
+    # The budget's floor lets the default walk search texts this short; the
+    # walk tier keeps it on its own candidates whatever they cost, and the
+    # fallback tier sends every query that needs a search or a check to the
+    # fallback.
     for name, value in TIERS[tier].items():
         monkeypatch.setattr(strreg.cds, name, value)
     monkeypatch.setattr(strreg.cds, "_NEEDLE", needle)
