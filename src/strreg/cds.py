@@ -16,11 +16,13 @@ The distance borders come from a C-speed search of the view's packed gaps.
 A distance border of at least ``_NEEDLE`` entries starts with the first
 ``_NEEDLE`` entries, so a ``bytes.find`` of those proposes it; where that
 needle no longer fits, a one-entry needle proposes the shorter borders, and
-the empty distance border comes last. Only hits aligned to an entry count,
-and a hit blocked by the tail is passed over unchecked. Every ``find`` and
-every character check is charged ``_CALL_COST`` plus the bytes it may read
-against one budget per walker, :func:`_budget`: ``_BUDGET_PER_BYTE`` bytes
-per byte of text plus a floor of 32 calls, so short texts are searched too.
+the empty distance border comes last. The entries are one byte wide while
+every run fits, and then every hit is aligned; on a wider view only hits
+aligned to an entry count. A hit blocked by the tail is passed over
+unchecked. Every ``find`` and every character check is charged
+``_CALL_COST`` plus the bytes it may read against one budget per walker,
+:func:`_budget`: ``_BUDGET_PER_BYTE`` bytes per byte of text plus a floor
+of 32 calls, so short texts are searched too.
 A query the budget cannot pay for is answered by :func:`_longest_border`,
 which finds the longest border of ``x[:n]`` with ``bytes.find`` and
 ``startswith`` alone: O(n) bytes read in O(log² n) calls, and no list of

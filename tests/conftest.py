@@ -1,3 +1,6 @@
+import dataclasses
+from array import array
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -29,9 +32,16 @@ TIERS = {
 }
 
 
+def widened(v):
+    """The view ``v`` with its runs re-packed as 4-byte entries, the layout
+    that a view takes when one run is over 255."""
+    return dataclasses.replace(v, _runs=array("i", v._entries).tobytes(), _code="i")
+
+
 @pytest.fixture(scope="session")
 def answers_by_tier():
-    """``answers(x)``: per entry of TIERS, the longest border and the chain of ``x``."""
+    """``answers(x)``: per entry of TIERS, the longest border and the chain of
+    ``x``, which the view of ``x`` and that view widened must both give."""
     import strreg.cds
     from strreg.cds import border_cds, borders_cds
     from strreg.sampling import build_cds
@@ -44,6 +54,8 @@ def answers_by_tier():
                 for name, value in values.items():
                     mp.setattr(strreg.cds, name, value)
                 out[tier] = (border_cds(v, x), borders_cds(v, x))
+                wide = widened(v)
+                assert (border_cds(wide, x), borders_cds(wide, x)) == out[tier], tier
         return out
 
     return answers

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import strreg.cds
 import strreg.classical
-from conftest import TIERS
+from conftest import TIERS, widened
 from strreg.cds import border_cds, borders_cds, period_cds, shortest_cover_cds
 from strreg.classical import (
     border_array,
@@ -188,6 +188,13 @@ def test_matches_classical_routes(family):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
+def test_runs_that_fit_take_one_byte(family):
+    v = build_cds(FAMILIES[family](LARGE))
+    width = 1 if max(v.distances, default=1) <= 256 else 4
+    assert len(v._runs) == width * v.m_bar
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 def test_matches_oracles(family):
     for n in SMALL:
         x = FAMILIES[family](n)
@@ -287,7 +294,8 @@ def test_blocked_hits_not_compared(monkeypatch):
 def test_unaligned_hits_not_checked(family, monkeypatch):
     # A hit of the packed search that is not aligned to an entry proposes no
     # border, so no text check follows it. Each search records its hit (-1
-    # for none); each check records None.
+    # for none); each check records None. One-byte entries have no unaligned
+    # hits, so the view is widened to 4-byte entries.
     events = []
     real_find, real_check = strreg.cds._find_needle, strreg.cds._borders_match
 
@@ -300,7 +308,7 @@ def test_unaligned_hits_not_checked(family, monkeypatch):
     monkeypatch.setattr(strreg.cds, "_borders_match",
                         lambda x, n, b: events.append(None) or real_check(x, n, b))
     x = FAMILIES[family](LARGE)
-    v = build_cds(x)
+    v = widened(build_cds(x))
     w = v._entries.itemsize
     reached = 0
     for query in (border_cds, borders_cds):
@@ -394,15 +402,18 @@ def test_forced_fallback_keeps_result(x, budget):
 
 
 def test_walk_resumes_after_fallback():
-    # The chain of aaabaa is [2, 1]. A budget of three calls and 16 bytes pays
-    # for one search and one failed check on the whole text, whose walk then
-    # falls back; what is left pays for the one check of the next subject.
+    # The chain of aaabaa is [2, 1]. With entries of w bytes, a budget of
+    # three calls and 3w + 4 bytes pays for one search (w bytes scanned) and
+    # one failed check (5 bytes) on the whole text, whose walk then falls
+    # back, as the next search would scan 2w bytes; what is left pays for the
+    # one check of the next subject.
     x = b"aaabaa"
-    v = build_cds(x)
-    with pytest.MonkeyPatch.context() as mp, fallbacks() as built:
-        mp.setattr(strreg.cds, "_budget", lambda m: 3 * strreg.cds._CALL_COST + 16)
-        assert borders_cds(v, x) == [2, 1]
-    assert built == [6]
+    for v in (build_cds(x), widened(build_cds(x))):
+        w = v._entries.itemsize
+        with pytest.MonkeyPatch.context() as mp, fallbacks() as built:
+            mp.setattr(strreg.cds, "_budget", lambda m: 3 * strreg.cds._CALL_COST + 3 * w + 4)
+            assert borders_cds(v, x) == [2, 1], w
+        assert built == [6], w
 
 
 @given(st.text(alphabet="ab", min_size=1, max_size=64).map(str.encode) | st.binary(min_size=1, max_size=64),

@@ -59,21 +59,51 @@ class TestBuildCds:
         assert v.m == len(x)
 
 
+def build_in_chunks(x, chunk):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampling, "_SPLIT_CHUNK", chunk)
+        return build_cds(x)
+
+
 class TestPackedGaps:
-    # Gaps are packed one machine integer each: zero runs (adjacent pivots)
-    # and gaps of 256 and more must come out as they went in.
+    # Gaps are packed one entry each, one byte wide while every run fits and
+    # four bytes wide otherwise: zero runs (adjacent pivots) and gaps of 256
+    # and more must come out as they went in.
     @pytest.mark.parametrize("chunk", [7, 1 << 16])
     @given(runs=st.lists(st.sampled_from((0, 1, 255, 256, 257, 70000)), max_size=12),
            tail=st.integers(0, 300))
     def test_gaps_of_any_size(self, chunk, runs, tail):
         x = b"a" + b"".join(b"b" * r + b"a" for r in runs) + b"b" * tail
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sampling, "_SPLIT_CHUNK", chunk)
-            v = build_cds(x)
+        v = build_in_chunks(x, chunk)
         assert v.m_bar == len(runs)
         assert v.distances == [r + 1 for r in runs]
         assert v.positions == [i for i, c in enumerate(x) if c == x[0]]
         assert v.k == tail
+        assert len(v._runs) == len(runs) * (1 if max(runs, default=0) <= 255 else 4)
+
+    # The first run over 255 widens the entries; the tail is not an entry.
+    # Runs of every byte value, over several chunks of one-byte entries,
+    # before the first run over 255 check that widening keeps each entry.
+    @pytest.mark.parametrize("chunk", [7, 1 << 16])
+    @pytest.mark.parametrize("runs, tail, width", [
+        ([255, 0, 255], 0, 1),
+        ([255, 256, 0], 0, 4),
+        ([0, 255], 70000, 1),
+        ([r % 256 for r in range(2000)] + [256, 300, 5], 3, 4),
+    ], ids=("largest-255", "one-256", "long-tail", "after-chunks"))
+    def test_entry_width(self, chunk, runs, tail, width):
+        x = b"a" + b"".join(b"b" * r + b"a" for r in runs) + b"b" * tail
+        v = build_in_chunks(x, chunk)
+        assert v._entries.tolist() == runs
+        assert len(v._runs) == width * len(runs)
+        assert v.k == tail
+
+    def test_uniform_text_takes_one_byte_per_entry(self):
+        # Seed 1, the benchmark's. Runs over 255 are rare below 21 letters,
+        # not absent: seed 18 at 18 letters has one of 266.
+        for sigma in range(2, 21):
+            v = build_cds(gen_text(GenSpec(sigma, 10**5, seed=1)))
+            assert len(v._runs) == v.m_bar > 0, sigma
 
     def test_fields_are_fresh_lists(self):
         v = build_cds(b"abaab")
@@ -88,9 +118,7 @@ class TestChunkedSplit:
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
     @given(st.text(alphabet="abc", min_size=1, max_size=64).map(str.encode))
     def test_any_chunk_size_matches_definition(self, chunk, x):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sampling, "_SPLIT_CHUNK", chunk)
-            v = build_cds(x)
+        v = build_in_chunks(x, chunk)
         assert v.positions == [i for i, c in enumerate(x) if c == x[0]]
         assert v.distances == [b - a for a, b in zip(v.positions, v.positions[1:])]
         assert v.k == len(x) - 1 - v.positions[-1]
